@@ -174,19 +174,18 @@ pub struct ThresholdTypeSweep {
 /// Run the sweep (the expensive part; everything in Fig 7/Fig 8 and the
 /// headline is a view over this).
 ///
-/// By default the sweep steps as *lockstep batches*: all 26 points of a
-/// mix (fixed ICOUNT + 5 thresholds × 5 heuristics) share one machine
-/// until their policy decisions diverge (`smt_sim::batch`). The batched
-/// and scalar paths are bit-identical per point and share cache keys;
-/// `--no-batch` ([`sweep::set_batch_enabled`]) selects the scalar path.
+/// The sweep steps as *lockstep batches*: all 26 points of a mix (fixed
+/// ICOUNT + 5 thresholds × 5 heuristics) share one machine until their
+/// policy decisions diverge (`smt_sim::batch`). The batched and scalar
+/// paths are bit-identical per point and share cache keys.
 pub fn threshold_type_sweep(p: &ExpParams) -> ThresholdTypeSweep {
-    threshold_type_sweep_with(p, sweep::batch_enabled())
+    threshold_type_sweep_with(p, true)
 }
 
-/// [`threshold_type_sweep`] with the stepping mode chosen explicitly
-/// instead of via the process-wide flag — the perf harness times the two
-/// paths against each other, and the checkpoint benchmark must pin the
-/// scalar path (batching collapses the per-point warmups whose
+/// [`threshold_type_sweep`] with the stepping mode chosen explicitly:
+/// `batched = false` steps every point on its own machine. The tests pin
+/// the two paths against each other, and the warm-pool speedup floor
+/// times the scalar path (batching collapses the per-point warmups whose
 /// elimination it measures).
 pub fn threshold_type_sweep_with(p: &ExpParams, batched: bool) -> ThresholdTypeSweep {
     let thresholds: Vec<f64> = vec![1.0, 2.0, 3.0, 4.0, 5.0];
@@ -238,7 +237,7 @@ pub fn threshold_type_sweep_with(p: &ExpParams, batched: bool) -> ThresholdTypeS
 /// the baseline; cell `1 + ti*kinds.len() + ki` is (threshold `ti`,
 /// heuristic `ki`) — the same order [`threshold_type_sweep_batched`]
 /// indexes by.
-pub(crate) fn sweep_point_cells(
+pub fn sweep_point_cells(
     n_threads: usize,
     thresholds: &[f64],
     kinds: &[HeuristicKind],
@@ -257,7 +256,7 @@ pub(crate) fn sweep_point_cells(
 /// Step all 26 points of one mix as one lockstep batch: one warm-pool
 /// snapshot restored into a single machine, cells forking only where
 /// policy decisions diverge (cell order per [`sweep_point_cells`]).
-pub(crate) fn run_mix_batch(
+pub fn run_mix_batch(
     mix: &Mix,
     thresholds: &[f64],
     kinds: &[HeuristicKind],
@@ -283,8 +282,8 @@ pub(crate) fn run_mix_batch(
 /// The lockstep implementation behind [`threshold_type_sweep`].
 ///
 /// Cache keys are exactly the scalar path's, so warm caches interoperate
-/// across `--batch`/`--no-batch`; the per-mix batch runs lazily on the
-/// first cache miss of that mix and is shared by all its missing points.
+/// across the two paths; the per-mix batch runs lazily on the first cache
+/// miss of that mix and is shared by all its missing points.
 fn threshold_type_sweep_batched(
     thresholds: Vec<f64>,
     kinds: Vec<HeuristicKind>,
@@ -1113,13 +1112,13 @@ pub struct AllocSweep {
 }
 
 /// Run the allocation sweep. Like [`threshold_type_sweep`] it steps as
-/// lockstep batches by default: all fetch × allocation points of one mix
+/// lockstep batches: all fetch × allocation points of one mix
 /// share one warmed [`smt_sim::MultiCoreMachine`] (from the warm pool's
-/// multi-core layer) until their placements diverge; `--no-batch`
-/// selects the scalar per-point path, bit-identical and sharing cache
-/// keys.
+/// multi-core layer) until their placements diverge. The scalar
+/// per-point path ([`alloc_sweep_with`]) is bit-identical and shares
+/// cache keys.
 pub fn alloc_sweep(p: &ExpParams, cores: usize, allocs: &[AllocKind], penalty: u64) -> AllocSweep {
-    alloc_sweep_with(p, cores, allocs, penalty, sweep::batch_enabled())
+    alloc_sweep_with(p, cores, allocs, penalty, true)
 }
 
 /// Cache key of one allocation point; shared by both stepping modes.
@@ -1370,9 +1369,8 @@ mod tests {
             mix_ids: vec![9],
             ..smoke()
         };
-        // No persistent cache in unit tests, so both calls simulate. The
-        // mode is passed explicitly so concurrent tests flipping the
-        // process-wide flag cannot perturb which path each call takes.
+        // No persistent cache in unit tests, so both calls simulate, one
+        // on each stepping path.
         let scalar = threshold_type_sweep_with(&p, false);
         let batched = threshold_type_sweep_with(&p, true);
         assert_eq!(batched.icount, scalar.icount, "fixed baseline diverged");

@@ -22,13 +22,14 @@ const CASES: &[(&str, &[&str])] = &[
     ("instrument", &["--obs-events", "many"]),
     ("instrument", &["--obs-out"]),
     ("ckpt", &["--ckpt-dir"]),
-    ("batch", &["--batch=always"]),
-    ("skip", &["--no-skip=never"]),
     ("trace", &["--trace"]),
     ("alloc", &["--cores", "zero"]),
     ("alloc", &["--alloc", "bogus-policy"]),
     ("spans", &["--spans-out"]),
     ("unknown", &["--frobnicate"]),
+    // Retired escape hatches: batching and cycle skipping are always on.
+    ("unknown", &["--no-batch"]),
+    ("unknown", &["--no-skip"]),
 ];
 
 #[test]
@@ -47,6 +48,10 @@ fn every_binary_rejects_malformed_flags_from_every_cli_group() {
             assert!(
                 stderr.contains("error"),
                 "{bin_name} rejected {argv:?} without an error message; stderr: {stderr}"
+            );
+            assert!(
+                *family != "unknown" || stderr.contains("unknown option"),
+                "{bin_name} rejected {argv:?} but not as an unknown option; stderr: {stderr}"
             );
         }
     }

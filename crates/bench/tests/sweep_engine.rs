@@ -1,10 +1,11 @@
 //! Integration tests of the sweep engine against real simulations: worker
 //! counts must not change results, panics must stay confined to their
-//! point, a warm cache must replay bit-identically, and telemetry must be
+//! point, a warm cache must replay bit-identically, the warm pool and
+//! checkpoint store must not change sweep results, and telemetry must be
 //! valid JSONL.
 
 use smt_bench::sweep::{point_key, run_isolated, SweepConfig, SweepEngine, TelemetryRecord};
-use smt_bench::{fixed_series, ExpParams};
+use smt_bench::{fixed_series, threshold_type_sweep_with, warm, ExpParams, ThresholdTypeSweep};
 use smt_policies::FetchPolicy;
 use smt_stats::RunSeries;
 use smt_workloads::mix;
@@ -176,4 +177,55 @@ fn empty_and_single_item_sweeps_work() {
     });
     assert_eq!(one.len(), 1);
     assert!(one[0].as_ref().is_ok_and(|ipc| *ipc > 0.0));
+}
+
+/// Every result of a sweep, floats by their bits.
+fn sweep_bits(sw: &ThresholdTypeSweep) -> Vec<u64> {
+    let mut bits: Vec<u64> = sw.icount.iter().map(|v| v.to_bits()).collect();
+    for c in sw.cells.iter().flatten().flatten() {
+        bits.extend([
+            c.ipc.to_bits(),
+            c.switches as u64,
+            c.judged as u64,
+            c.benign as u64,
+        ]);
+    }
+    bits
+}
+
+/// The warm pool and the checkpoint store change how sweep points warm
+/// up, never what they compute: the scalar threshold×type sweep with the
+/// pool off, with an empty pool writing to the store, and with the pool
+/// cleared so warm state restores from the store gives bit-identical
+/// results. Warmup and restore counts are not asserted: the other tests
+/// in this process share the pool.
+#[test]
+fn sweep_results_are_bit_identical_across_pool_and_store_passes() {
+    let p = ExpParams {
+        seed: 42,
+        warmup_quanta: 12,
+        quanta: 4,
+        quantum_cycles: 2048,
+        mix_ids: vec![1],
+    };
+    let dir = tmp_dir("ckpt");
+    warm::set_enabled(false);
+    let cold = sweep_bits(&threshold_type_sweep_with(&p, false));
+    warm::set_enabled(true);
+    warm::reset_pool();
+    warm::configure_store(Some(dir.clone()));
+    let stored = sweep_bits(&threshold_type_sweep_with(&p, false));
+    warm::reset_pool();
+    let restored = sweep_bits(&threshold_type_sweep_with(&p, false));
+    warm::configure_store(None);
+    warm::reset_pool();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        stored == cold,
+        "pool-plus-store pass diverged from pool-off"
+    );
+    assert!(
+        restored == cold,
+        "store-restore pass diverged from pool-off"
+    );
 }
