@@ -191,6 +191,11 @@ impl Hierarchy {
         }
     }
 
+    /// Main-memory latency added on an L2 miss.
+    pub(crate) fn mem_latency(&self) -> u64 {
+        self.mem_latency
+    }
+
     /// Enable/disable next-line prefetching into L2.
     pub fn set_next_line_prefetch(&mut self, on: bool) {
         self.next_line_prefetch = on;

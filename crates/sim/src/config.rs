@@ -8,6 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Upper bound on [`SimConfig::max_latency`]: the completion calendar
+/// allocates one bucket per cycle of the longest latency.
+const MAX_LATENCY: u64 = 1 << 16;
+
 /// Full static configuration of the simulated machine.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -181,6 +185,28 @@ impl SimConfig {
         c
     }
 
+    /// The longest execution latency any op can see under this
+    /// configuration: a load missing both cache levels (issue cycle +
+    /// L1D + L2 + memory), a divide, or a syscall, whichever is longest.
+    /// Sizes the machine's completion calendar.
+    pub fn max_latency(&self) -> u64 {
+        let load_miss = 1u64
+            .saturating_add(self.l1d.hit_latency)
+            .saturating_add(self.l2.hit_latency)
+            .saturating_add(self.mem_latency);
+        [
+            2, // store-forwarded load; ALU ops and stores take 1
+            self.lat_int_mul,
+            self.lat_int_div,
+            self.lat_fp_alu,
+            self.lat_fp_mul,
+            self.lat_fp_div,
+            self.syscall_latency,
+        ]
+        .into_iter()
+        .fold(load_miss, u64::max)
+    }
+
     /// Validate cross-field constraints; returns the first violation.
     pub fn validate(&self) -> Result<(), String> {
         if self.threads == 0 || self.threads > smt_isa::MAX_HW_CONTEXTS {
@@ -211,6 +237,12 @@ impl SimConfig {
         }
         if self.decay_period == 0 || !self.decay_period.is_power_of_two() {
             return Err("decay_period must be a power of two".into());
+        }
+        if self.max_latency() > MAX_LATENCY {
+            return Err(format!(
+                "longest latency {} exceeds {MAX_LATENCY} cycles",
+                self.max_latency()
+            ));
         }
         Ok(())
     }
@@ -270,6 +302,16 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn max_latency_covers_a_full_memory_miss() {
+        let mut c = SimConfig::default();
+        assert_eq!(c.max_latency(), c.syscall_latency);
+        c.mem_latency = 600;
+        assert_eq!(c.max_latency(), 1 + 1 + 10 + 600);
+        c.mem_latency = u64::MAX;
+        assert!(c.validate().is_err(), "unbounded latency accepted");
     }
 
     #[test]

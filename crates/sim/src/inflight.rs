@@ -3,15 +3,15 @@
 //! Each hardware context owns a window (`VecDeque<InFlight>`) ordered by
 //! per-thread sequence number — the reorder buffer. Sequence numbers are
 //! monotone and never reused, so after a squash the window may contain a
-//! gap; lookups go through binary search on `seq`.
+//! gap. [`find_seq`] probes the index a seq would have with no gap
+//! between it and either end of the window, and only binary-searches
+//! when both probes miss.
 //!
-//! The [`Stage::Executing`] `done_at` deadlines recorded here are one of
-//! the event sources the machine's event-horizon fast-forward
-//! (`SmtMachine::stall_horizon`) is computed from: a long-latency op
-//! publishes its completion cycle the moment it issues, so the machine
-//! knows — without stepping — the first future cycle at which anything
-//! can complete (tracked incrementally as the per-thread `min_done_at`
-//! lower bound).
+//! The [`Stage::Executing`] `done_at` deadlines recorded here are known
+//! the moment an op issues; the machine files each one in its
+//! completion calendar then, so `complete` and the event-horizon
+//! fast-forward (`SmtMachine::stall_horizon`) read the next completion
+//! cycle from the calendar instead of scanning windows for it.
 
 use smt_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use smt_isa::MicroOp;
@@ -149,16 +149,33 @@ impl Codec for InFlight {
     }
 }
 
-/// Binary-search a window (sorted by `seq`) for a sequence number.
+/// Index of the op with sequence number `seq` in `window` (sorted by
+/// `seq`), if present.
+///
+/// Gaps in the seq numbering come only from squashes, which cut the
+/// window's tail, so most ops sit at exactly `seq - front` (no gap before
+/// them) or `len - 1 - (back - seq)` (no gap after them). Both probes
+/// are O(1); a seq strictly between two gaps falls back to the binary
+/// search. Seqs are unique, so every path returns the same index.
 pub fn find_seq(window: &std::collections::VecDeque<InFlight>, seq: u64) -> Option<usize> {
-    let (a, b) = window.as_slices();
-    if let Ok(i) = a.binary_search_by_key(&seq, |op| op.seq) {
-        return Some(i);
+    let front = window.front()?.seq;
+    let back = window.back()?.seq;
+    if seq < front || seq > back {
+        return None;
     }
-    if let Ok(i) = b.binary_search_by_key(&seq, |op| op.seq) {
-        return Some(a.len() + i);
+    let len = window.len() as u64;
+    let from_front = seq - front;
+    if from_front < len && window[from_front as usize].seq == seq {
+        return Some(from_front as usize);
     }
-    None
+    let from_back = back - seq;
+    if from_back < len {
+        let i = (len - 1 - from_back) as usize;
+        if window[i].seq == seq {
+            return Some(i);
+        }
+    }
+    window.binary_search_by_key(&seq, |op| op.seq).ok()
 }
 
 #[cfg(test)]

@@ -30,6 +30,10 @@ use smt_isa::Tid;
 /// hundred entries.
 pub const NIL: u32 = u32::MAX;
 
+/// Thread id written into a slot as it is freed, so the residue of a
+/// removed entry never matches a live key ([`IndexedQueue::entry_matches`]).
+const FREED: u8 = u8::MAX;
+
 #[derive(Clone, Debug)]
 struct Node<T> {
     seq: u64,
@@ -143,13 +147,11 @@ impl<T> IndexedQueue<T> {
 
     /// Does the slab slot `idx` still hold the live entry `(tid, seq)`?
     ///
-    /// A freed slot retains its last key until `alloc` overwrites it, and
-    /// `(tid, seq)` keys are never reused within one queue (per-thread
-    /// sequence numbers are monotone), so a key match identifies either
-    /// the original entry or its dead residue — and writes through a dead
-    /// residue's payload are unobservable. A reused slot holds a
-    /// different key and compares unequal. This is what makes a stale
-    /// index a safe *weak* reference rather than a dangling one.
+    /// Unlinking poisons a slot's thread id, and `(tid, seq)` keys are
+    /// never reused within one queue (per-thread sequence numbers are
+    /// monotone), so a freed slot never matches, and a reused one holds a
+    /// different key. This is what makes a stale index a safe *weak*
+    /// reference rather than a dangling one.
     #[inline]
     pub fn entry_matches(&self, idx: u32, tid: Tid, seq: u64) -> bool {
         match self.nodes.get(idx as usize) {
@@ -183,6 +185,7 @@ impl<T> IndexedQueue<T> {
         } else {
             self.ttails[ti] = tprev;
         }
+        self.nodes[idx as usize].tid = FREED;
         self.free.push(idx);
         self.len -= 1;
         self.tlens[ti] -= 1;

@@ -33,6 +33,7 @@
 pub mod batch;
 pub mod bpred;
 pub mod cache;
+mod calendar;
 pub mod chooser;
 pub mod config;
 pub mod counters;

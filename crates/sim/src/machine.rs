@@ -7,12 +7,15 @@
 //! cycle (complete → commit → issue → dispatch → fetch) so that an op never
 //! traverses two stages in one cycle:
 //!
-//! 1. **complete** — finish executing ops; resolve branches, training the
+//! 1. **complete** — finish the ops the completion calendar files under
+//!    this cycle, in `(tid, seq)` order; resolve branches, training the
 //!    predictor and squashing the thread on a misprediction;
 //! 2. **commit** — retire completed ops in order, up to `commit_width`
 //!    across threads; syscalls retire the drain;
-//! 3. **issue** — pick ready ops oldest-first from the int/fp queues under
-//!    functional-unit and port constraints; loads access the D-cache here;
+//! 3. **issue** — pick ready ops oldest-first from the int/fp queues' ready
+//!    lists under functional-unit and port constraints; loads access the
+//!    D-cache here, and every issued op is filed in the calendar under
+//!    the cycle it completes;
 //! 4. **dispatch** — move decoded ops into the queues, allocating rename
 //!    registers and LSQ entries;
 //! 5. **fetch** — ask the [`FetchChooser`] to order fetchable threads, then
@@ -25,6 +28,7 @@
 
 use crate::bpred::BranchPredictor;
 use crate::cache::Hierarchy;
+use crate::calendar::Calendar;
 use crate::chooser::FetchChooser;
 use crate::config::SimConfig;
 use crate::counters::{CounterSnapshot, PolicyView, ThreadCounters};
@@ -86,12 +90,15 @@ struct IqData {
     deps_done: bool,
     /// Outstanding (not yet completed) producers, maintained by the wake
     /// chains: dispatch counts the live producers, each producer's
-    /// Done-transition decrements. Issue judges readiness as
-    /// `pending == 0` — O(1), no window binary search. Transient
-    /// acceleration state, *not* serialized (rebuilt after decode), so
-    /// snapshot bytes are unchanged; `deps_done` stays the serialized
-    /// memo. `deps_ready` remains as the search-based reference oracle.
+    /// Done-transition decrements. An entry sits on its queue's ready
+    /// list exactly while `pending == 0`. Transient acceleration state,
+    /// *not* serialized (rebuilt after decode); `deps_done` stays the
+    /// serialized memo. `deps_ready` remains as the search-based
+    /// reference oracle.
     pending: u8,
+    /// Dispatch order stamp (monotone across both queues), which keeps
+    /// the ready lists in queue age order. Transient like `pending`.
+    age: u64,
 }
 
 /// Per-context state.
@@ -116,11 +123,6 @@ struct ThreadCtx {
     wrong_path_since: Option<u64>,
     /// Wrong-path fetch pc.
     wp_pc: u64,
-    /// Lower bound on the earliest `done_at` among this thread's Executing
-    /// ops (`u64::MAX` when a fresh scan found none). Purely a fast-path
-    /// filter for the complete() scan; staleness on the low side only
-    /// costs a wasted scan, never a missed completion.
-    min_done_at: u64,
     /// Cold-frontend penalty of a cross-core migration: fetch is held
     /// until this cycle (0 = no pending penalty). Set by
     /// [`SmtMachine::migrate_in`], attributed as [`FetchCause::Migration`].
@@ -161,6 +163,7 @@ impl IqData {
             // Rebuilt by `rebuild_wake_state` once the whole machine is
             // decoded (the windows aren't available yet here).
             pending: 0,
+            age: 0,
         })
     }
 }
@@ -258,7 +261,6 @@ impl ThreadCtx {
         w.u64(self.redirect_stall_until);
         self.wrong_path_since.encode(w);
         w.u64(self.wp_pc);
-        w.u64(self.min_done_at);
         w.u64(self.migration_stall_until);
         codec::encode_json(w, &self.counters);
     }
@@ -300,7 +302,6 @@ impl ThreadCtx {
             redirect_stall_until: r.u64()?,
             wrong_path_since: Option::decode(r)?,
             wp_pc: r.u64()?,
-            min_done_at: r.u64()?,
             migration_stall_until: r.u64()?,
             counters: codec::decode_json(r)?,
         })
@@ -371,6 +372,22 @@ pub struct SmtMachine {
     /// cloned with the machine (slab indices are preserved by `Clone`),
     /// never serialized (rebuilt after decode).
     wake: WakeArena,
+    /// Slots of the int / fp queue entries with `pending == 0`, in queue
+    /// age order: the only entries issue can pick, so issue walks these
+    /// instead of the whole queue. Transient like `wake`.
+    int_ready: Vec<u32>,
+    fp_ready: Vec<u32>,
+    /// Next [`IqData::age`] stamp. Transient like `wake`.
+    next_age: u64,
+    /// Every `Executing` op filed under the cycle whose `complete` stage
+    /// finishes it: its `done_at`, or the next `complete` to run if a
+    /// zero latency left `done_at` behind it. `complete` drains one
+    /// bucket per cycle. Transient like `wake`: rebuilt from the windows
+    /// after decode.
+    calendar: Calendar,
+    /// Scratch for the entries drained from the calendar; empty between
+    /// cycles.
+    due_buf: Vec<(Tid, u64)>,
     /// Event-horizon fast-forward switch: when set, [`SmtMachine::run`]
     /// skips pure-stall cycles to the next cycle any architectural state
     /// can change ([`SmtMachine::stall_horizon`]). Host-side acceleration
@@ -385,15 +402,6 @@ pub struct SmtMachine {
     /// never serialized, reset on decode — so snapshot bytes stay
     /// independent of the skip setting.
     skipped_cycles: u64,
-    /// [`SmtMachine::work_fingerprint`] of the machine as the last step
-    /// began. The skip gate compares the current fingerprint against it:
-    /// equality means the last stepped cycle changed none of the state
-    /// the pipeline consults, so a full [`SmtMachine::stall_horizon`]
-    /// scan is worth paying. Purely a performance heuristic — the scan
-    /// stays the sole authority on whether skipping is sound — and
-    /// transient like `skipped_cycles`: never serialized, reset on
-    /// decode.
-    last_work_fp: u64,
 }
 
 impl SmtMachine {
@@ -425,7 +433,6 @@ impl SmtMachine {
                     redirect_stall_until: 0,
                     wrong_path_since: None,
                     wp_pc: 0,
-                    min_done_at: u64::MAX,
                     migration_stall_until: 0,
                     counters: ThreadCounters::default(),
                 }
@@ -453,9 +460,13 @@ impl SmtMachine {
             l2_rot: 0,
             dispatch_fifo: IndexedQueue::new(cfg.threads, 64),
             wake: WakeArena::default(),
+            int_ready: Vec::with_capacity(cfg.int_iq_size),
+            fp_ready: Vec::with_capacity(cfg.fp_iq_size),
+            next_age: 0,
+            calendar: Calendar::new(cfg.max_latency()),
+            due_buf: Vec::new(),
             skip_enabled: true,
             skipped_cycles: 0,
-            last_work_fp: 0,
             cycle: 0,
             cfg,
         }
@@ -509,6 +520,16 @@ impl SmtMachine {
             .map_err(|e| CodecError::Invalid(format!("bad SimConfig: {e}")))?;
         let cycle = r.u64()?;
         let mem = Hierarchy::decode_from(r)?;
+        // Load latencies come from the hierarchy, the calendar is sized
+        // from the config: they must agree.
+        if mem.l1d.geometry() != cfg.l1d
+            || mem.l2.geometry() != cfg.l2
+            || mem.mem_latency() != cfg.mem_latency
+        {
+            return Err(CodecError::Invalid(
+                "cache hierarchy disagrees with config".into(),
+            ));
+        }
         let bpred = BranchPredictor::decode_from(r)?;
         let n_threads = r.usize()?;
         if n_threads != cfg.threads {
@@ -522,6 +543,18 @@ impl SmtMachine {
             let t = ThreadCtx::decode_from(r, &cfg)?;
             if t.tid.idx() != i {
                 return Err(CodecError::Invalid("thread ids out of order".into()));
+            }
+            // An op issued before `cycle` completes within the longest
+            // latency; a later deadline would not fit the calendar.
+            for op in &t.window {
+                if let Stage::Executing { done_at } = op.stage {
+                    if done_at > cycle.saturating_add(cfg.max_latency()) {
+                        return Err(CodecError::Invalid(format!(
+                            "op {} completes at {done_at}, beyond the longest latency",
+                            op.seq
+                        )));
+                    }
+                }
             }
             threads.push(t);
         }
@@ -560,9 +593,13 @@ impl SmtMachine {
             attr: None,
             l2_rot: 0,
             wake: WakeArena::default(),
+            int_ready: Vec::with_capacity(cfg.int_iq_size),
+            fp_ready: Vec::with_capacity(cfg.fp_iq_size),
+            next_age: 0,
+            calendar: Calendar::new(cfg.max_latency()),
+            due_buf: Vec::new(),
             skip_enabled: true,
             skipped_cycles: 0,
-            last_work_fp: 0,
             cfg,
             cycle,
             mem,
@@ -579,24 +616,34 @@ impl SmtMachine {
             global,
             dispatch_fifo,
         };
-        // The wake chains and `pending` counters are transient (not part
-        // of the byte format) and the queue decode does not preserve slab
-        // indices, so recompute them from the decoded windows/queues.
+        // The wake chains, `pending` counters, ready lists and calendar
+        // are transient (not part of the byte format) and the queue decode
+        // does not preserve slab indices, so recompute them from the
+        // decoded windows/queues.
         m.rebuild_wake_state();
         Ok(m)
     }
 
-    /// Recompute the readiness-tracking acceleration state (wake chains
-    /// and per-entry `pending` counters) from the architecturally
-    /// serialized state: windows, queues and `deps`. Used after decode;
-    /// `Clone` preserves the state directly.
+    /// Recompute the transient acceleration state (wake chains,
+    /// per-entry `pending` counters and age stamps, ready lists, the
+    /// completion calendar) from the architecturally serialized state:
+    /// windows, queues and `deps`. Used after decode; `Clone` preserves
+    /// the state directly.
     fn rebuild_wake_state(&mut self) {
         self.wake.clear();
+        self.calendar.clear();
         for ctx in &mut self.threads {
             for op in ctx.window.iter_mut() {
                 op.wake_head = NO_WAKE;
+                if let Stage::Executing { done_at } = op.stage {
+                    let due = done_at.max(self.cycle);
+                    self.calendar.insert(self.cycle, due, ctx.tid, op.seq);
+                }
             }
         }
+        self.int_ready.clear();
+        self.fp_ready.clear();
+        self.next_age = 0;
         for is_fp in [false, true] {
             let queue = if is_fp { &self.fp_iq } else { &self.int_iq };
             // Collect first: registration mutates windows and the arena
@@ -610,10 +657,7 @@ impl SmtMachine {
             }
             for (slot, tid, seq, deps) in entries {
                 let ctx = &mut self.threads[tid.idx()];
-                let oldest = match ctx.window.front() {
-                    Some(f) => f.seq,
-                    None => continue,
-                };
+                let oldest = ctx.window.front().map_or(u64::MAX, |f| f.seq);
                 let mut pending = 0u8;
                 for dep in deps.iter().copied().flatten() {
                     if dep < oldest {
@@ -632,12 +676,18 @@ impl SmtMachine {
                         }
                     }
                 }
-                let q = if is_fp {
-                    &mut self.fp_iq
+                let (q, ready) = if is_fp {
+                    (&mut self.fp_iq, &mut self.fp_ready)
                 } else {
-                    &mut self.int_iq
+                    (&mut self.int_iq, &mut self.int_ready)
                 };
-                q.payload_mut(slot).pending = pending;
+                let d = q.payload_mut(slot);
+                d.pending = pending;
+                d.age = self.next_age;
+                self.next_age += 1;
+                if pending == 0 {
+                    ready.push(slot);
+                }
             }
         }
     }
@@ -897,10 +947,7 @@ impl SmtMachine {
 
     fn run_impl<C: FetchChooser, const TRACE: bool>(&mut self, end: u64, chooser: &mut C) {
         while self.cycle < end {
-            // The full horizon scan is only worth paying when the last
-            // stepped cycle demonstrably did nothing; an active pipeline
-            // changes the fingerprint every cycle and never pays it.
-            if self.skip_enabled && self.idle_since_last_step() {
+            if self.skip_enabled {
                 if let Some(horizon) = self.stall_horizon() {
                     // `stall_horizon` only yields cycles strictly ahead of
                     // `self.cycle`, so the window is never empty.
@@ -913,46 +960,6 @@ impl SmtMachine {
         }
     }
 
-    /// A cheap digest of every piece of state the pipeline stages consume:
-    /// queue and window occupancies, completion deadlines, free registers,
-    /// the commit/fetch odometers, and the timed-stall expiries. Any cycle
-    /// in which some stage acted changes at least one component (a
-    /// completion lowers `min_done_at` or retires into `committed`, an
-    /// issue shrinks an IQ, a dispatch pops the FIFO, a fetch grows a
-    /// window or starts a timed stall), so an unchanged fingerprint means
-    /// the cycle was a pure stall. Collisions merely cost one fruitless
-    /// [`SmtMachine::stall_horizon`] scan — the gate is a performance
-    /// heuristic, never a correctness authority.
-    #[inline]
-    fn work_fingerprint(&self) -> u64 {
-        const P: u64 = 0x100000001b3; // FNV-1a prime
-        let mut h: u64 = self.int_iq.len() as u64;
-        h = (h ^ self.fp_iq.len() as u64).wrapping_mul(P);
-        h = (h ^ self.lsq.len() as u64).wrapping_mul(P);
-        h = (h ^ self.dispatch_fifo.len() as u64).wrapping_mul(P);
-        h = (h ^ self.pending_syscalls.len() as u64).wrapping_mul(P);
-        h = (h ^ self.free_int_regs as u64).wrapping_mul(P);
-        h = (h ^ self.free_fp_regs as u64).wrapping_mul(P);
-        h = (h ^ self.global.committed).wrapping_mul(P);
-        h = (h ^ self.global.fetch_slots_used).wrapping_mul(P);
-        for ctx in &self.threads {
-            h = (h ^ ctx.window.len() as u64).wrapping_mul(P);
-            h = (h ^ ctx.counters.front_end_occ as u64).wrapping_mul(P);
-            h = (h ^ ctx.min_done_at).wrapping_mul(P);
-            h = (h ^ ctx.icache_stall_until).wrapping_mul(P);
-            h = (h ^ ctx.redirect_stall_until).wrapping_mul(P);
-            h = (h ^ ctx.migration_stall_until).wrapping_mul(P);
-        }
-        h
-    }
-
-    /// Did the last stepped cycle leave all pipeline-visible state
-    /// untouched? (The skip gate; see [`SmtMachine::work_fingerprint`].)
-    #[inline]
-    pub(crate) fn idle_since_last_step(&self) -> bool {
-        self.work_fingerprint() == self.last_work_fp
-    }
-
     /// One cycle, monomorphized on whether any instrumentation (event
     /// trace or slot attribution) is live. `TRACE` must match
     /// [`Self::instrumented`]; `step`/`run` guarantee it. Every trace
@@ -960,12 +967,6 @@ impl SmtMachine {
     /// checks `self.attr`, so either can be on without the other.
     fn step_impl<C: FetchChooser, const TRACE: bool>(&mut self, chooser: &mut C) {
         debug_assert_eq!(TRACE, self.instrumented());
-        // Remember what the machine looked like as this cycle began; if it
-        // still looks the same next cycle, the skip gate knows this cycle
-        // was a pure stall. Skip-off runs don't pay for the digest.
-        if self.skip_enabled {
-            self.last_work_fp = self.work_fingerprint();
-        }
         if TRACE {
             self.attr_begin_cycle();
         }
@@ -989,12 +990,13 @@ impl SmtMachine {
     // attribution), so a maximal window of them can be applied in one
     // `skip_cycles` call. `stall_horizon` computes the window end: the
     // earliest cycle at which any state the pipeline consults can change
-    // — in-flight completion deadlines (`min_done_at`), front-end
+    // — the completion calendar's next occupied bucket, front-end
     // `ready_at`, divider reservations, and the per-thread
     // icache/redirect/migration stall expiries. Every deadline is state
     // the machine already tracks (the load-delay-tracking observation:
     // long-latency events publish their deadlines when they begin), so
-    // the check is O(threads + queue entries) and allocation-free.
+    // the check is O(threads + ready entries) and allocation-free, and
+    // `run` pays it every cycle: a busy cycle answers at the first probe.
 
     /// If the current cycle is a pure-stall cycle, the earliest future
     /// cycle at which any architectural state can change (`u64::MAX`
@@ -1005,16 +1007,13 @@ impl SmtMachine {
         let mut horizon = u64::MAX;
         let drain = !self.pending_syscalls.is_empty();
 
-        // Complete / commit: any completion due now means work; any Done
-        // window head would retire. `min_done_at` is a conservative lower
-        // bound, so treating it as the horizon can only land the machine
-        // on a cycle where the per-cycle path would (identically) run a
-        // fruitless rescan — never skip past a completion.
+        // Complete / commit: an occupied bucket now means completions to
+        // drain (its next occupied one is a horizon candidate, taken last);
+        // any Done window head would retire.
+        if self.calendar.is_due(now) {
+            return None;
+        }
         for ctx in &self.threads {
-            if ctx.min_done_at <= now {
-                return None;
-            }
-            horizon = horizon.min(ctx.min_done_at);
             if let Some(head) = ctx.window.front() {
                 if head.is_done() {
                     return None;
@@ -1039,40 +1038,33 @@ impl SmtMachine {
         // Issue: per-cycle unit/port budgets reset every cycle, so any
         // dep-ready entry issues now — except divides gated by a busy
         // divider, whose release cycle is a horizon candidate.
-        let mut idx = self.int_iq.first();
-        while idx != NIL {
-            let d = self.int_iq.payload(idx);
-            if d.deps_done || d.pending == 0 {
-                match d.kind {
-                    OpKind::IntDiv => {
-                        if self.cfg.int_alus > 0 {
-                            if self.int_div_free_at <= now {
-                                return None;
-                            }
-                            horizon = horizon.min(self.int_div_free_at);
-                        }
-                    }
-                    OpKind::Load | OpKind::Store => {
-                        if self.cfg.ldst_ports > 0 {
+        for &idx in &self.int_ready {
+            match self.int_iq.payload(idx).kind {
+                OpKind::IntDiv => {
+                    if self.cfg.int_alus > 0 {
+                        if self.int_div_free_at <= now {
                             return None;
                         }
+                        horizon = horizon.min(self.int_div_free_at);
                     }
-                    // Handled by the drain path, never issued from here.
-                    OpKind::Syscall => {}
-                    _ => {
-                        if self.cfg.int_alus > 0 {
-                            return None;
-                        }
+                }
+                OpKind::Load | OpKind::Store => {
+                    if self.cfg.ldst_ports > 0 {
+                        return None;
+                    }
+                }
+                // Handled by the drain path, never issued from here.
+                OpKind::Syscall => {}
+                _ => {
+                    if self.cfg.int_alus > 0 {
+                        return None;
                     }
                 }
             }
-            idx = self.int_iq.next_of(idx);
         }
-        let mut idx = self.fp_iq.first();
-        while idx != NIL {
-            let d = self.fp_iq.payload(idx);
-            if (d.deps_done || d.pending == 0) && self.cfg.fp_units > 0 {
-                if d.kind == OpKind::FpDiv {
+        if self.cfg.fp_units > 0 {
+            for &idx in &self.fp_ready {
+                if self.fp_iq.payload(idx).kind == OpKind::FpDiv {
                     if self.fp_div_free_at <= now {
                         return None;
                     }
@@ -1081,7 +1073,6 @@ impl SmtMachine {
                     return None;
                 }
             }
-            idx = self.fp_iq.next_of(idx);
         }
 
         // Dispatch consumes strictly from the FIFO head: popping a
@@ -1171,6 +1162,14 @@ impl SmtMachine {
             }
         }
 
+        // The next completion. Its bucket may hold only stale entries of
+        // squashed ops, which can land the machine on a cycle where
+        // `complete` (identically) finds nothing to do — never skip past
+        // a completion.
+        if let Some(due) = self.calendar.next_due(now + 1) {
+            horizon = horizon.min(due);
+        }
+
         // With attribution live, the skipped cycles' slot causes must
         // also be constant across the window: cap it at *every* timed
         // stall expiry, so `> now` classifications (migration vs L1I vs
@@ -1208,29 +1207,17 @@ impl SmtMachine {
         let end = now + k;
         let drain = !self.pending_syscalls.is_empty();
 
-        // The first skipped cycle's issue walk visits every entry
+        // The first skipped cycle's issue walk visits every ready entry
         // (nothing issues, so the budget never runs out) and memoizes
-        // `deps_done` on each dep-ready one — try_issue marks the memo
-        // *before* discovering the unit is busy. `deps_done` is
-        // serialized state, so replay it or snapshots would diverge.
-        if self.cfg.issue_width > 0 {
-            let mut idx = self.int_iq.first();
-            while idx != NIL {
-                let d = self.int_iq.payload_mut(idx);
-                if d.pending == 0 {
-                    d.deps_done = true;
-                }
-                idx = self.int_iq.next_of(idx);
-            }
-            if self.cfg.fp_units > 0 {
-                let mut idx = self.fp_iq.first();
-                while idx != NIL {
-                    let d = self.fp_iq.payload_mut(idx);
-                    if d.pending == 0 {
-                        d.deps_done = true;
-                    }
-                    idx = self.fp_iq.next_of(idx);
-                }
+        // `deps_done` on each — try_issue marks the memo *before*
+        // discovering the unit is busy. `deps_done` is serialized state,
+        // so replay it or snapshots would diverge.
+        for &idx in &self.int_ready {
+            self.int_iq.payload_mut(idx).deps_done = true;
+        }
+        if self.cfg.fp_units > 0 {
+            for &idx in &self.fp_ready {
+                self.fp_iq.payload_mut(idx).deps_done = true;
             }
         }
 
@@ -1417,106 +1404,116 @@ impl SmtMachine {
 
     fn complete<const TRACE: bool>(&mut self) {
         let now = self.cycle;
-        // Branch mispredict squashes are collected first, then applied, so
-        // the window scan does not fight the borrow checker. The buffer is
-        // a machine field, kept empty between cycles — no allocation on
+        if !self.calendar.is_due(now) {
+            return;
+        }
+        // Completions run in (tid, seq) order, as a window-by-window scan
+        // would visit them: predictor training updates saturating
+        // counters, and squashes apply in this order too. Mispredict
+        // squashes are collected first, then applied. Both buffers are
+        // machine fields, kept empty between cycles — no allocation on
         // the hot path.
+        let mut due = std::mem::take(&mut self.due_buf);
+        self.calendar.drain(now, &mut due);
+        due.sort_unstable();
         let mut squashes = std::mem::take(&mut self.squash_buf);
         debug_assert!(squashes.is_empty());
         let mut trace = if TRACE { self.trace.take() } else { None };
-        for (ti, ctx) in self.threads.iter_mut().enumerate() {
-            if ctx.min_done_at > now {
+        for &(tid, seq) in &due {
+            let ti = tid.idx();
+            let ctx = &mut self.threads[ti];
+            // Stale entries of squashed or flushed ops: the seq is gone
+            // (seqs are never reused) or, defensively, not executing.
+            let Some(i) = find_seq(&ctx.window, seq) else {
                 continue;
+            };
+            let op = &mut ctx.window[i];
+            match op.stage {
+                Stage::Executing { done_at } if done_at <= now => {}
+                _ => continue,
             }
-            let tid = ctx.tid;
-            let mut next_min = u64::MAX;
-            for i in 0..ctx.window.len() {
-                let op = &mut ctx.window[i];
-                let done_at = match op.stage {
-                    Stage::Executing { done_at } => done_at,
-                    _ => continue,
+            op.stage = Stage::Done;
+            let wake_head = std::mem::replace(&mut op.wake_head, NO_WAKE);
+            // Copy the facts out so counter updates don't fight the
+            // window borrow (MicroOp is Copy).
+            let uop = op.uop;
+            if TRACE {
+                if let Some(t) = &mut trace {
+                    t.push(TraceEvent::Complete {
+                        cycle: now,
+                        tid,
+                        seq,
+                    });
+                }
+            }
+            let (wrong_path, mispredicted, dmiss, pht_index, hist) = (
+                op.wrong_path,
+                op.mispredicted,
+                op.dmiss,
+                op.pht_index,
+                op.history_at_fetch,
+            );
+            // Wake this producer's registered waiters: O(waiters)
+            // counter decrements instead of every blocked entry
+            // re-searching the window each cycle. A stale node (its
+            // waiter was squashed after registering) fails the slot
+            // revalidation and is simply dropped. A waiter whose last
+            // producer this was joins its queue's ready list.
+            let mut widx = wake_head;
+            while widx != NO_WAKE {
+                let node = self.wake.nodes[widx as usize];
+                let (queue, ready) = if node.fp {
+                    (&mut self.fp_iq, &mut self.fp_ready)
+                } else {
+                    (&mut self.int_iq, &mut self.int_ready)
                 };
-                if done_at > now {
-                    next_min = next_min.min(done_at);
-                    continue;
-                }
-                op.stage = Stage::Done;
-                let wake_head = std::mem::replace(&mut op.wake_head, NO_WAKE);
-                // Copy the facts out so counter updates don't fight the
-                // window borrow (MicroOp is Copy).
-                let uop = op.uop;
-                if TRACE {
-                    if let Some(t) = &mut trace {
-                        t.push(TraceEvent::Complete {
-                            cycle: now,
-                            tid: ctx.tid,
-                            seq: op.seq,
-                        });
+                if queue.entry_matches(node.slot, tid, node.waiter_seq) {
+                    let p = queue.payload_mut(node.slot);
+                    debug_assert!(p.pending > 0, "wake underflow");
+                    p.pending = p.pending.saturating_sub(1);
+                    if p.pending == 0 {
+                        let age = p.age;
+                        let pos = ready.partition_point(|&s| queue.payload(s).age < age);
+                        ready.insert(pos, node.slot);
                     }
                 }
-                let (wrong_path, mispredicted, dmiss, seq, pht_index, hist) = (
-                    op.wrong_path,
-                    op.mispredicted,
-                    op.dmiss,
-                    op.seq,
-                    op.pht_index,
-                    op.history_at_fetch,
-                );
-                // Wake this producer's registered waiters: O(waiters)
-                // counter decrements instead of every blocked entry
-                // re-searching the window each cycle. A stale node (its
-                // waiter was squashed after registering) fails the slot
-                // revalidation and is simply dropped.
-                let mut widx = wake_head;
-                while widx != NO_WAKE {
-                    let node = self.wake.nodes[widx as usize];
-                    let queue = if node.fp {
-                        &mut self.fp_iq
-                    } else {
-                        &mut self.int_iq
-                    };
-                    if queue.entry_matches(node.slot, tid, node.waiter_seq) {
-                        let p = queue.payload_mut(node.slot);
-                        debug_assert!(p.pending > 0, "wake underflow");
-                        p.pending = p.pending.saturating_sub(1);
+                self.wake.free.push(widx);
+                widx = node.next;
+            }
+            match uop.kind {
+                OpKind::Branch => {
+                    if uop.is_cond_branch() {
+                        ctx.counters.inflight_branches -= 1;
                     }
-                    self.wake.free.push(widx);
-                    widx = node.next;
-                }
-                match uop.kind {
-                    OpKind::Branch => {
-                        if uop.is_cond_branch() {
-                            ctx.counters.inflight_branches -= 1;
-                        }
-                        if !wrong_path {
-                            if let Some(b) = uop.branch {
-                                if b.kind == BranchKind::Conditional {
-                                    ctx.counters.branches_resolved += 1;
-                                    self.bpred.train(uop.pc, pht_index, b.taken);
-                                }
-                                if mispredicted {
-                                    let outcome =
-                                        (b.kind == BranchKind::Conditional).then_some(b.taken);
-                                    squashes.push((ti, seq, hist, outcome));
-                                }
+                    if !wrong_path {
+                        if let Some(b) = uop.branch {
+                            if b.kind == BranchKind::Conditional {
+                                ctx.counters.branches_resolved += 1;
+                                self.bpred.train(uop.pc, pht_index, b.taken);
+                            }
+                            if mispredicted {
+                                let outcome =
+                                    (b.kind == BranchKind::Conditional).then_some(b.taken);
+                                squashes.push((ti, seq, hist, outcome));
                             }
                         }
                     }
-                    OpKind::Load => {
-                        if dmiss {
-                            ctx.counters.outstanding_dmiss -= 1;
-                        }
-                        ctx.counters.inflight_loads -= 1;
-                        ctx.counters.inflight_mem -= 1;
-                    }
-                    OpKind::Store => {
-                        ctx.counters.inflight_mem -= 1;
-                    }
-                    _ => {}
                 }
+                OpKind::Load => {
+                    if dmiss {
+                        ctx.counters.outstanding_dmiss -= 1;
+                    }
+                    ctx.counters.inflight_loads -= 1;
+                    ctx.counters.inflight_mem -= 1;
+                }
+                OpKind::Store => {
+                    ctx.counters.inflight_mem -= 1;
+                }
+                _ => {}
             }
-            ctx.min_done_at = next_min;
         }
+        due.clear();
+        self.due_buf = due;
         if TRACE {
             self.trace = trace.take();
         }
@@ -1596,8 +1593,13 @@ impl SmtMachine {
         ctx.window.truncate(cut);
         let tid = ctx.tid;
         // Purge shared structures of the squashed refs: O(victims) per
-        // queue, touching only this thread's entries.
+        // queue, touching only this thread's entries. The ready lists go
+        // first, while the victims' slots still carry their keys; the
+        // victims' calendar entries stay behind as stale.
         let min_gone = seq + 1;
+        let victim = |(t, s): (Tid, u64)| t == tid && s >= min_gone;
+        self.int_ready.retain(|&i| !victim(self.int_iq.key(i)));
+        self.fp_ready.retain(|&i| !victim(self.fp_iq.key(i)));
         self.int_iq.squash_tail(tid, min_gone);
         self.fp_iq.squash_tail(tid, min_gone);
         self.lsq.squash_tail(tid, min_gone);
@@ -1763,7 +1765,8 @@ impl SmtMachine {
                     if ctx.window[i].in_front_end() {
                         let done_at = now + self.cfg.syscall_latency;
                         ctx.window[i].stage = Stage::Executing { done_at };
-                        ctx.min_done_at = ctx.min_done_at.min(done_at);
+                        self.calendar
+                            .insert(now, done_at.max(now + 1), q.tid, q.seq);
                         ctx.counters.front_end_occ -= 1;
                     }
                 }
@@ -1777,28 +1780,33 @@ impl SmtMachine {
 
         // Issue frees the queue slot; long-latency *dep-blocked* ops are
         // what clog the queues (Tullsen's "IQ clog"), not issued ops.
-        // Cursor walk in age order: an issued entry is unlinked in O(1),
-        // kept entries are never moved or rewritten (the Vec version
-        // rebuilt both queues every cycle).
-        let mut idx = self.int_iq.first();
-        while idx != NIL && budget > 0 {
-            let next = self.int_iq.next_of(idx);
-            if self.try_issue_int::<TRACE>(idx, now, &mut int_units, &mut ldst_ports) {
+        // Oldest-first over the ready lists: the dep-blocked entries an
+        // age walk of the whole queue would pass over are never visited.
+        // Issued entries are unlinked from the queue in O(1) and leave
+        // the ready list in the same pass.
+        let mut ready = std::mem::take(&mut self.int_ready);
+        ready.retain(|&idx| {
+            let issued = budget > 0
+                && self.try_issue_int::<TRACE>(idx, now, &mut int_units, &mut ldst_ports);
+            if issued {
                 self.int_iq.remove(idx);
                 budget -= 1;
             }
-            idx = next;
-        }
+            !issued
+        });
+        self.int_ready = ready;
 
-        let mut idx = self.fp_iq.first();
-        while idx != NIL && budget > 0 && fp_units > 0 {
-            let next = self.fp_iq.next_of(idx);
-            if self.try_issue_fp::<TRACE>(idx, now, &mut fp_units) {
+        let mut ready = std::mem::take(&mut self.fp_ready);
+        ready.retain(|&idx| {
+            let issued =
+                budget > 0 && fp_units > 0 && self.try_issue_fp::<TRACE>(idx, now, &mut fp_units);
+            if issued {
                 self.fp_iq.remove(idx);
                 budget -= 1;
             }
-            idx = next;
-        }
+            !issued
+        });
+        self.fp_ready = ready;
         if TRACE {
             self.attr_issue_end(budget);
         }
@@ -1816,18 +1824,12 @@ impl SmtMachine {
         let (tid, seq) = self.int_iq.key(idx);
         let q = QRef { tid, seq };
         let d = *self.int_iq.payload(idx);
-        // Judge dep-blocked entries from the cached payload alone: the
-        // wake chains keep `pending` current, so readiness is one counter
-        // compare — no window binary search at all. `deps_ready` is kept
-        // as the reference oracle and cross-checked in debug builds.
+        // Only ready-list entries get here: the wake chains keep
+        // `pending` current, so readiness needs no window search at all.
+        // `deps_ready` is kept as the reference oracle and cross-checked
+        // in debug builds.
+        debug_assert_eq!(d.pending, 0, "dep-blocked entry on the ready list");
         if !d.deps_done {
-            if d.pending != 0 {
-                debug_assert!(
-                    !Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                    "pending > 0 but search says ready"
-                );
-                return false;
-            }
             debug_assert!(
                 Self::deps_ready(&self.threads[tid.idx()], &d.deps),
                 "pending == 0 but search says blocked"
@@ -1881,7 +1883,8 @@ impl SmtMachine {
         };
         debug_assert!(ctx.window[i].is_queued(), "issued op left in queue");
         ctx.window[i].stage = Stage::Executing { done_at };
-        ctx.min_done_at = ctx.min_done_at.min(done_at);
+        self.calendar
+            .insert(now, done_at.max(now + 1), q.tid, q.seq);
         ctx.counters.iq_occ -= 1;
         if TRACE {
             self.trace_push(TraceEvent::Issue {
@@ -1916,7 +1919,7 @@ impl SmtMachine {
         };
         let ctx = &mut self.threads[ti];
         ctx.window[i].stage = Stage::Executing { done_at: now + lat };
-        ctx.min_done_at = ctx.min_done_at.min(now + lat);
+        self.calendar.insert(now, now + lat, q.tid, q.seq);
         ctx.window[i].dmiss = l1_miss;
         ctx.counters.iq_occ -= 1;
         if !wrong_path {
@@ -1971,7 +1974,7 @@ impl SmtMachine {
         let r = self.mem.data(addr);
         let ctx = &mut self.threads[ti];
         ctx.window[i].stage = Stage::Executing { done_at: now + 1 };
-        ctx.min_done_at = ctx.min_done_at.min(now + 1);
+        self.calendar.insert(now, now + 1, q.tid, q.seq);
         ctx.counters.iq_occ -= 1;
         if !wrong_path {
             ctx.counters.stores += 1;
@@ -2022,14 +2025,8 @@ impl SmtMachine {
         let (tid, seq) = self.fp_iq.key(idx);
         let q = QRef { tid, seq };
         let d = *self.fp_iq.payload(idx);
+        debug_assert_eq!(d.pending, 0, "dep-blocked entry on the ready list");
         if !d.deps_done {
-            if d.pending != 0 {
-                debug_assert!(
-                    !Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                    "pending > 0 but search says ready"
-                );
-                return false;
-            }
             debug_assert!(
                 Self::deps_ready(&self.threads[tid.idx()], &d.deps),
                 "pending == 0 but search says blocked"
@@ -2056,7 +2053,8 @@ impl SmtMachine {
         };
         debug_assert!(ctx.window[i].is_queued(), "issued op left in queue");
         ctx.window[i].stage = Stage::Executing { done_at };
-        ctx.min_done_at = ctx.min_done_at.min(done_at);
+        self.calendar
+            .insert(now, done_at.max(now + 1), q.tid, q.seq);
         ctx.counters.iq_occ -= 1;
         if TRACE {
             self.trace_push(TraceEvent::Issue {
@@ -2135,7 +2133,9 @@ impl SmtMachine {
                 deps,
                 deps_done: false,
                 pending: 0,
+                age: self.next_age,
             };
+            self.next_age += 1;
             let slot = if is_fp {
                 self.fp_iq.push_back(tid, seq, data)
             } else {
@@ -2170,13 +2170,12 @@ impl SmtMachine {
                     }
                 }
             }
-            if pending != 0 {
-                let q = if is_fp {
-                    &mut self.fp_iq
-                } else {
-                    &mut self.int_iq
-                };
-                q.payload_mut(slot).pending = pending;
+            // The newest entry: a ready one goes at its list's tail.
+            match (pending, is_fp) {
+                (0, false) => self.int_ready.push(slot),
+                (0, true) => self.fp_ready.push(slot),
+                (_, false) => self.int_iq.payload_mut(slot).pending = pending,
+                (_, true) => self.fp_iq.payload_mut(slot).pending = pending,
             }
             if let Some(a8) = addr8 {
                 self.lsq.push_back(
@@ -2609,7 +2608,9 @@ impl SmtMachine {
         ctx.window.clear();
         ctx.wrong_path_since = None;
         ctx.rename = [None; 64];
-        ctx.min_done_at = u64::MAX;
+        // The thread's calendar entries stay behind as stale.
+        self.int_ready.retain(|&i| self.int_iq.key(i).0 != tid);
+        self.fp_ready.retain(|&i| self.fp_iq.key(i).0 != tid);
         self.int_iq.remove_thread(tid);
         self.fp_iq.remove_thread(tid);
         self.lsq.remove_thread(tid);
@@ -2848,10 +2849,17 @@ impl SmtMachine {
                             int_q_t += 1;
                         }
                     }
-                    Stage::Executing { .. } => {
+                    Stage::Executing { done_at } => {
                         if op.dmiss {
                             dmiss += 1;
                         }
+                        let due = done_at.max(self.cycle);
+                        assert!(
+                            self.calendar.contains(due, ctx.tid, op.seq),
+                            "{} seq {} (done_at {done_at}) missing from calendar bucket {due}",
+                            ctx.tid,
+                            op.seq
+                        );
                     }
                     Stage::Done => {}
                 }
@@ -2920,8 +2928,15 @@ impl SmtMachine {
         );
         // Readiness tracking vs the search oracle: every queue entry's
         // `pending` counter must equal the number of live, not-yet-done
-        // producers the reference binary search would find.
-        for queue in [&self.int_iq, &self.fp_iq] {
+        // producers the reference binary search would find. The ready
+        // list must be exactly the `pending == 0` entries, in queue order,
+        // with strictly increasing age stamps.
+        for (queue, ready) in [
+            (&self.int_iq, &self.int_ready),
+            (&self.fp_iq, &self.fp_ready),
+        ] {
+            let mut expect_ready = Vec::new();
+            let mut last_age = None;
             let mut idx = queue.first();
             while idx != NIL {
                 let (tid, seq) = queue.key(idx);
@@ -2949,8 +2964,24 @@ impl SmtMachine {
                     Self::deps_ready(ctx, &d.deps),
                     "pending disagrees with the search oracle on {tid} seq {seq}"
                 );
+                assert!(
+                    !d.deps_done || d.pending == 0,
+                    "deps_done memo with pending producers on {tid} seq {seq}"
+                );
+                assert!(
+                    last_age.is_none_or(|a| a < d.age),
+                    "queue age stamps out of order at {tid} seq {seq}"
+                );
+                last_age = Some(d.age);
+                if d.pending == 0 {
+                    expect_ready.push(idx);
+                }
                 idx = queue.next_of(idx);
             }
+            assert_eq!(
+                ready, &expect_ready,
+                "ready list is not the pending == 0 entries in age order"
+            );
         }
         // Every allocated wake node sits on exactly one producer's chain.
         let mut chained = 0usize;

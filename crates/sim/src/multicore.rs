@@ -143,23 +143,12 @@ impl MultiCoreMachine {
             let mut horizon = u64::MAX;
             let mut skippable = true;
             for core in &self.cores {
-                // Same gate as the single-core run loop: pay the full
-                // horizon scan only when the core's last stepped cycle
-                // demonstrably did nothing.
-                if !core.skip_enabled() || !core.idle_since_last_step() {
-                    skippable = false;
-                    break;
-                }
-            }
-            if skippable {
-                for core in &self.cores {
-                    match core.stall_horizon() {
-                        None => {
-                            skippable = false;
-                            break;
-                        }
-                        Some(h) => horizon = horizon.min(h),
+                match core.skip_enabled().then(|| core.stall_horizon()).flatten() {
+                    None => {
+                        skippable = false;
+                        break;
                     }
+                    Some(h) => horizon = horizon.min(h),
                 }
             }
             if skippable {

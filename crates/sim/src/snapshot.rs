@@ -20,16 +20,19 @@
 //!   to a [`CodecError`], never a panic — callers fall back to a cold
 //!   warmup.
 //!
-//! **No fast-forward state is serialized.** The event-horizon skip
-//! engine (`SmtMachine::stall_horizon`) is *derived* entirely from
+//! **No fast-forward or index state is serialized.** The event-horizon
+//! skip engine (`SmtMachine::stall_horizon`) is *derived* entirely from
 //! state this container already carries — stall-until cycles, in-flight
 //! `done_at` deadlines, the syscall drain queue — and the `skip_enabled`
 //! switch plus the `skipped_cycles` odometer are host-side observability,
 //! not simulated state. Serializing any of it would make snapshot bytes
 //! depend on *how* a machine reached a cycle (skipped vs stepped),
 //! destroying the byte-identity contract above; instead a decoded
-//! machine starts with skipping on and its odometer at zero, exactly like the transient wake arena and `l2_rot`
-//! stamp.
+//! machine starts with skipping on and its odometer at zero. The
+//! machine's indexes over that state — the completion calendar (every
+//! `Executing` op filed under its completion cycle), the wake chains and
+//! `pending` counters, the issue queues' ready lists and age stamps —
+//! are likewise rebuilt on decode, never stored.
 //!
 //! Container layout (little-endian):
 //!
@@ -37,7 +40,13 @@
 //! magic    [u8; 8]   = b"SMTCKPT\0"
 //! version  u32       = FORMAT_VERSION
 //! len      u64       payload byte count
-//! payload  [u8; len] SmtMachine state (see machine.rs encode_into)
+//! payload  [u8; len] SmtMachine state (see machine.rs encode_into):
+//!                    config, cycle, caches, predictor, per-thread
+//!                    contexts (stream, wrong-path generator, window,
+//!                    rename map, fetch and stall state, counters), the
+//!                    int/fp/load-store queues, free registers, divider
+//!                    reservations, pending syscalls, global counters,
+//!                    dispatch FIFO
 //! checksum u64       FNV-1a 64 of payload
 //! ```
 
@@ -56,7 +65,11 @@ pub const MAGIC: [u8; 8] = *b"SMTCKPT\0";
 ///
 /// v3: `ThreadCtx` gained `migration_stall_until` (cross-core migration
 /// cold-frontend penalty), changing the thread payload layout.
-pub const FORMAT_VERSION: u32 = 3;
+///
+/// v4: `ThreadCtx` dropped `min_done_at` (the per-thread completion
+/// bound the completion calendar replaced), changing the thread payload
+/// layout.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A captured warm machine state.
 ///
@@ -229,12 +242,19 @@ mod tests {
     fn version_bump_is_an_error() {
         let mut m = machine(1, 23);
         m.run(200, &mut RoundRobin);
-        let mut bytes = MachineSnapshot::capture(&m).to_bytes();
-        bytes[8] = FORMAT_VERSION as u8 + 1; // little-endian low byte
-        assert!(matches!(
-            MachineSnapshot::from_bytes(&bytes),
-            Err(CodecError::UnsupportedVersion { .. })
-        ));
+        let bytes = MachineSnapshot::capture(&m).to_bytes();
+        // The previous layout (v3 still carried `min_done_at`) and a
+        // future one are both refused by version, before any decoding.
+        for found in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&found.to_le_bytes());
+            match MachineSnapshot::from_bytes(&old) {
+                Err(CodecError::UnsupportedVersion { found: f, expected }) => {
+                    assert_eq!((f, expected), (found, FORMAT_VERSION));
+                }
+                other => panic!("v{found} container: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -917,3 +917,191 @@ mod skip_boundaries {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Completion calendar and ready lists: the index structures `complete` and
+// `issue` read instead of scanning windows and queues.
+// ---------------------------------------------------------------------------
+
+mod calendar {
+    use super::*;
+    use smt_sim::snapshot::MachineSnapshot;
+    use smt_sim::TraceEvent;
+
+    /// A return with an empty return-address stack: always mispredicted
+    /// at fetch, so the ops behind it are wrong-path filler until it
+    /// resolves and squashes them.
+    fn empty_ras_return(pc: u64) -> MicroOp {
+        MicroOp {
+            kind: OpKind::Branch,
+            branch: Some(BranchInfo {
+                kind: BranchKind::Return,
+                taken: true,
+                target: BASE,
+            }),
+            ..MicroOp::nop(BASE | pc)
+        }
+    }
+
+    /// Wrong-path waiters on a surviving producer, squashed before it
+    /// completes. Fifteen cold loads (one I-cache line, each missing to
+    /// 600-cycle memory) write r2..r16; the return behind them squashes
+    /// the wrong-path filler, whose ALU ops read r2..r25 and so registered
+    /// on the loads' wake chains. Fetch is then switched off, so no new
+    /// entry reuses the squashed ones' queue slots before the loads
+    /// complete and walk their chains. A freed slot must never reach a
+    /// ready list: issue would pick it and unlink it a second time.
+    #[test]
+    fn squashed_waiter_of_a_surviving_producer_never_becomes_ready() {
+        let mut script: Vec<MicroOp> = (0..15u8)
+            .map(|i| load(4 * i as u64, 2 + i, 0x10_000 + 4096 * i as u64))
+            .collect();
+        script.push(empty_ras_return(4 * 15));
+        let cfg = SimConfig {
+            mem_latency: 600,
+            ..SimConfig::with_threads(1)
+        };
+        let mut m = machine_with(script, cfg);
+        let mut waiter_seen = false;
+        while m.counters(Tid(0)).squashes == 0 {
+            assert!(m.cycle() < 2_000, "the return never resolved");
+            // Seqs 0..=15 are the loads and the return; the rest is filler.
+            waiter_seen |= (16..64).any(|s| m.queued_pending(Tid(0), s) == Some(1));
+            m.step(&mut RoundRobin);
+            m.check_invariants();
+        }
+        assert!(waiter_seen, "no wrong-path op waited on a load");
+        assert!(
+            m.counters(Tid(0)).inflight_loads > 0,
+            "loads done before the squash"
+        );
+        m.set_fetch_enabled(Tid(0), false);
+        while m.counters(Tid(0)).inflight_loads > 0 {
+            assert!(m.cycle() < 4_000, "loads never completed");
+            m.step(&mut RoundRobin);
+            m.check_invariants();
+        }
+        m.set_fetch_enabled(Tid(0), true);
+        for _ in 0..2_000 {
+            m.step(&mut RoundRobin);
+            m.check_invariants();
+        }
+        assert!(
+            m.counters(Tid(0)).committed >= 16,
+            "no progress after the squash"
+        );
+    }
+
+    /// A load whose latency is the calendar's width − 1 — the farthest
+    /// deadline the wheel holds, filed in the bucket drained the cycle
+    /// before — completes on exactly its cycle, skipping or stepping. The
+    /// 600-cycle memory config sizes the wheel at 1024 buckets (longest
+    /// latency 612); 1011-cycle memory keeps that width and makes a cold
+    /// load take 1 + 1 + 10 + 1011 = 1023 cycles.
+    #[test]
+    fn a_load_at_the_calendar_horizon_completes_on_its_cycle() {
+        for mem_latency in [600, 1011] {
+            let cfg = SimConfig {
+                mem_latency,
+                ..SimConfig::with_threads(1)
+            };
+            assert_eq!(
+                (cfg.max_latency() + 1).next_power_of_two(),
+                1024,
+                "wheel width"
+            );
+            let script = vec![load(0x0, 10, 0x10_000), alu(0x4, 11, Some(10))];
+            // A traced twin finds when the first load issues and is due.
+            let mut traced = machine_with(script.clone(), cfg.clone());
+            traced.enable_trace(1 << 12);
+            let mut issue = None;
+            while issue.is_none() {
+                assert!(traced.cycle() < 3_000, "load never issued");
+                traced.step(&mut RoundRobin);
+                issue = traced.trace().unwrap().events().find_map(|e| match *e {
+                    TraceEvent::Issue {
+                        cycle,
+                        seq: 0,
+                        done_at,
+                        ..
+                    } => Some((cycle, done_at)),
+                    _ => None,
+                });
+            }
+            let (issued, done_at) = issue.unwrap();
+            assert_eq!(done_at - issued, 1 + 1 + 10 + mem_latency);
+            for skip in [true, false] {
+                let fresh = || {
+                    let mut m = machine_with(script.clone(), cfg.clone());
+                    m.set_skip_enabled(skip);
+                    m
+                };
+                // Cycles 0..done_at ran: the miss is still outstanding.
+                let mut m = fresh();
+                m.run(done_at, &mut RoundRobin);
+                assert_eq!(
+                    m.counters(Tid(0)).outstanding_dmiss,
+                    1,
+                    "mem {mem_latency}, skip {skip}: load finished early"
+                );
+                assert_eq!(m.counters(Tid(0)).committed, 0);
+                // One more cycle, in one run so that a skip window may
+                // span the deadline: it completes there.
+                let mut m = fresh();
+                m.run(done_at + 1, &mut RoundRobin);
+                m.check_invariants();
+                assert_eq!(
+                    m.counters(Tid(0)).outstanding_dmiss,
+                    0,
+                    "mem {mem_latency}, skip {skip}: load missed its cycle"
+                );
+            }
+        }
+    }
+
+    /// Flushing, migrating out or parking a thread with loads in flight
+    /// leaves their calendar entries behind; each must be recognised as
+    /// stale when its bucket drains, while the other thread runs on
+    /// exactly as it would stepping cycle by cycle.
+    #[test]
+    fn flush_migrate_and_park_leave_only_stale_entries() {
+        for how in ["flush", "migrate", "park"] {
+            let streams = smt_workloads::mix(13).take_threads(2, 1).streams(5);
+            let cfg = SimConfig {
+                mem_latency: 600,
+                ..SimConfig::with_threads(2)
+            };
+            let mut fast = SmtMachine::new(cfg, streams);
+            let mut slow = fast.clone();
+            slow.set_skip_enabled(false);
+            for m in [&mut fast, &mut slow] {
+                m.run(2_000, &mut RoundRobin);
+                // Stop while a missed load of thread 1 is executing.
+                while m.counters(Tid(1)).outstanding_dmiss == 0 {
+                    assert!(m.cycle() < 20_000, "{how}: thread 1 never missed");
+                    m.run(1, &mut RoundRobin);
+                }
+                match how {
+                    "flush" => m.flush_thread(Tid(1)),
+                    "migrate" => {
+                        let t = m.migrate_out(Tid(1));
+                        m.run(50, &mut RoundRobin);
+                        m.migrate_in(Tid(1), t, 10);
+                    }
+                    _ => m.park_thread(Tid(1)),
+                }
+                m.check_invariants();
+                for _ in 0..40 {
+                    m.run(25, &mut RoundRobin);
+                    m.check_invariants();
+                }
+            }
+            assert_eq!(
+                MachineSnapshot::capture(&fast).to_bytes(),
+                MachineSnapshot::capture(&slow).to_bytes(),
+                "{how}: skipping diverged from stepping"
+            );
+            assert!(fast.counters(Tid(0)).committed > 0);
+        }
+    }
+}

@@ -1,8 +1,38 @@
 //! Property-based tests on the machine's structural models.
 
 use proptest::prelude::*;
-use smt_isa::{BranchKind, Tid};
+use smt_isa::{BranchKind, MicroOp, Tid};
+use smt_sim::inflight::{find_seq, InFlight, Stage, NO_WAKE};
 use smt_sim::{BranchPredictor, Cache, CacheGeometry, Hierarchy, SimConfig};
+use std::collections::VecDeque;
+
+/// The reference lookup: binary search of each contiguous part of the
+/// ring, as `find_seq` did before its O(1) probes.
+fn find_seq_by_search(window: &VecDeque<InFlight>, seq: u64) -> Option<usize> {
+    let (a, b) = window.as_slices();
+    if let Ok(i) = a.binary_search_by_key(&seq, |op| op.seq) {
+        return Some(i);
+    }
+    b.binary_search_by_key(&seq, |op| op.seq)
+        .ok()
+        .map(|i| a.len() + i)
+}
+
+fn inflight(seq: u64) -> InFlight {
+    InFlight {
+        seq,
+        uop: MicroOp::nop(seq * 4),
+        wrong_path: false,
+        deps: [None, None],
+        stage: Stage::FrontEnd { ready_at: 0 },
+        mispredicted: false,
+        dmiss: false,
+        pht_index: 0,
+        history_at_fetch: 0,
+        fetched_at: 0,
+        wake_head: NO_WAKE,
+    }
+}
 
 fn arb_geom() -> impl Strategy<Value = CacheGeometry> {
     (5u32..8, 0u32..4, 1u32..4).prop_map(|(log_line, log_ways, log_sets_extra)| {
@@ -117,5 +147,39 @@ proptest! {
             after.history_at_fetch,
             ((pr.history_at_fetch << 1) | 1) & ((1 << 12) - 1)
         );
+    }
+
+    #[test]
+    fn find_seq_agrees_with_binary_search(
+        first in 0u64..1_000,
+        gaps in 0usize..3,
+        big in prop::collection::vec(2u64..40, 1..160),
+        at in 0usize..160,
+        rotate in 0usize..160,
+    ) {
+        // Seq steps between consecutive ops: none, one or many gaps (a
+        // step above 1 is a squash's gap).
+        let steps: Vec<u64> = match gaps {
+            0 => vec![1; big.len()],
+            1 => (0..big.len()).map(|i| if i == at % big.len() { big[i] } else { 1 }).collect(),
+            _ => big.iter().map(|&s| if s % 3 == 0 { s } else { 1 }).collect(),
+        };
+        // Rotating the ring's start before filling it makes the window
+        // wrap at an arbitrary point, so `as_slices` splits it in two.
+        let mut w: VecDeque<InFlight> = VecDeque::with_capacity(160);
+        for _ in 0..rotate {
+            w.push_back(inflight(0));
+            w.pop_front();
+        }
+        let mut seq = first;
+        for step in &steps {
+            w.push_back(inflight(seq));
+            seq += step;
+        }
+        let back = w.back().unwrap().seq;
+        for probe in first.saturating_sub(3)..=back + 3 {
+            prop_assert_eq!(find_seq(&w, probe), find_seq_by_search(&w, probe), "seq {}", probe);
+        }
+        prop_assert_eq!(find_seq(&VecDeque::new(), first), None);
     }
 }
