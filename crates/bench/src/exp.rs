@@ -111,7 +111,7 @@ fn pct(x: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Aggregate IPC of each of the ten fixed fetch policies per mix
-/// (the baseline context for Table 1; [20]'s ranking should reappear:
+/// (the baseline context for Table 1; \[20\]'s ranking should reappear:
 /// ICOUNT best on average, RR near the bottom).
 pub fn table1(p: &ExpParams) -> Table {
     let mixes = p.mixes();
@@ -235,7 +235,7 @@ pub fn threshold_type_sweep_with(p: &ExpParams, batched: bool) -> ThresholdTypeS
 /// The canonical sweep's lockstep cells for one machine: the fixed-ICOUNT
 /// baseline followed by every (threshold, heuristic) ADTS point. Cell 0 is
 /// the baseline; cell `1 + ti*kinds.len() + ki` is (threshold `ti`,
-/// heuristic `ki`) — the same order [`threshold_type_sweep_batched`]
+/// heuristic `ki`) — the same order `threshold_type_sweep_batched`
 /// indexes by.
 pub fn sweep_point_cells(
     n_threads: usize,
@@ -962,7 +962,7 @@ pub fn jobsched(p: &ExpParams) -> Table {
 }
 
 /// A5: fetch-mechanism ablation — the ICOUNT a.b partitioning study of
-/// [20] rebuilt on this substrate: a = threads fetched per cycle,
+/// \[20\] rebuilt on this substrate: a = threads fetched per cycle,
 /// b = total fetch width.
 pub fn ablate_fetchmech(p: &ExpParams) -> Table {
     let mechs: [(&str, usize, usize); 5] = [

@@ -213,7 +213,7 @@ impl WarmPool {
     /// [`multicore_for_mix`] construction plus `warmup_quanta` quanta of
     /// fixed ICOUNT on every core in lockstep, memoized per
     /// (mix, config, seed, warmup, cores, penalty) key. In-memory only —
-    /// see [`WarmPool::mc_slots`].
+    /// see `WarmPool::mc_slots`.
     pub fn warmed_multicore(
         &self,
         mix: &Mix,

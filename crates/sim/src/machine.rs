@@ -20,7 +20,7 @@
 //!    registers and LSQ entries;
 //! 5. **fetch** — ask the [`FetchChooser`] to order fetchable threads, then
 //!    fetch up to `fetch_width` ops from the top `max_fetch_threads`
-//!    (the ICOUNT2.8-style mechanism of [20]), predicting branches and
+//!    (the ICOUNT2.8-style mechanism of \[20\]), predicting branches and
 //!    entering wrong-path mode on a fetch-time mispredict.
 //!
 //! The machine is `Clone`: the oracle scheduler in `adts-core` checkpoints
@@ -83,22 +83,42 @@ struct IqData {
     kind: OpKind,
     /// Producer sequence numbers (immutable after fetch).
     deps: [Option<u64>; 2],
-    /// Monotone memo: once every producer has been observed complete the
-    /// check never needs to run again. A producer can only leave the
-    /// window by committing (still satisfied) or by a squash that also
-    /// removes this younger entry, so the flag can never go stale.
-    deps_done: bool,
     /// Outstanding (not yet completed) producers, maintained by the wake
     /// chains: dispatch counts the live producers, each producer's
     /// Done-transition decrements. An entry sits on its queue's ready
     /// list exactly while `pending == 0`. Transient acceleration state,
-    /// *not* serialized (rebuilt after decode); `deps_done` stays the
-    /// serialized memo. `deps_ready` remains as the search-based
-    /// reference oracle.
+    /// *not* serialized (rebuilt after decode); `deps_ready` remains as
+    /// the search-based reference oracle.
     pending: u8,
     /// Dispatch order stamp (monotone across both queues), which keeps
     /// the ready lists in queue age order. Transient like `pending`.
     age: u64,
+}
+
+/// The dispatch head against the in-order front end's hazard cascade
+/// ([`SmtMachine::dispatch_head`]), in cascade order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DispatchHead {
+    /// The decode FIFO is empty.
+    Empty,
+    /// Squashed while queued for decode: dispatch pops the bubble.
+    Bubble,
+    /// Still in the decode pipe until `ready_at`.
+    Decoding { ready_at: u64 },
+    /// Defensive: a head no longer in the front end stalls dispatch until
+    /// a squash removes it.
+    Stuck,
+    /// A syscall: popped into the window without queue resources.
+    Syscall,
+    /// Its instruction queue is full.
+    IqFull,
+    /// A memory op facing a full LSQ: charges thread `ti`'s
+    /// `lsq_full_cycles` every cycle it stalls.
+    LsqFull { ti: usize },
+    /// No free rename register of its destination class.
+    NoFreeReg,
+    /// Clears every hazard: window entry `i` of thread `ti` dispatches.
+    Ready { ti: usize, i: usize },
 }
 
 /// Per-context state.
@@ -152,14 +172,12 @@ impl IqData {
     fn encode_into(&self, w: &mut ByteWriter) {
         self.kind.encode(w);
         self.deps.encode(w);
-        w.bool(self.deps_done);
     }
 
     fn decode_from(r: &mut ByteReader) -> Result<Self, CodecError> {
         Ok(IqData {
             kind: OpKind::decode(r)?,
             deps: <[Option<u64>; 2]>::decode(r)?,
-            deps_done: r.bool()?,
             // Rebuilt by `rebuild_wake_state` once the whole machine is
             // decoded (the windows aren't available yet here).
             pending: 0,
@@ -931,11 +949,14 @@ impl SmtMachine {
     ///
     /// With [`SmtMachine::skip_enabled`] (the default), pure-stall cycles
     /// — cycles in which no thread can fetch, dispatch, issue, complete
-    /// or commit — are fast-forwarded in one [`SmtMachine::skip_cycles`]
-    /// application instead of being stepped one by one. The run is
-    /// bit-identical either way; skipping never crosses the `cycles`
-    /// bound, so quantum boundaries (snapshots, batch fork points, policy
-    /// switches) land on exactly the same cycles.
+    /// or commit — are fast-forwarded to the next event in one jump
+    /// instead of being stepped one by one. The run is bit-identical
+    /// either way; skipping never crosses the `cycles` bound, so quantum
+    /// boundaries (snapshots, batch fork points, policy switches) land on
+    /// exactly the same cycles. With slot attribution enabled every cycle
+    /// is stepped, so the CPI stacks come from the stepped stages alone;
+    /// event tracing alone keeps skipping (a stall window emits no
+    /// events).
     pub fn run<C: FetchChooser>(&mut self, cycles: u64, chooser: &mut C) {
         let end = self.cycle + cycles;
         if self.instrumented() {
@@ -986,26 +1007,30 @@ impl SmtMachine {
     // completes or commits, no queue entry can obtain a unit, the
     // dispatch head is stalled, and no thread is fetchable. Every effect
     // such a cycle has on the machine is a closed-form function of the
-    // frozen state (stall accounting, decay, the LSQ-full charges, slot
-    // attribution), so a maximal window of them can be applied in one
-    // `skip_cycles` call. `stall_horizon` computes the window end: the
-    // earliest cycle at which any state the pipeline consults can change
-    // — the completion calendar's next occupied bucket, front-end
-    // `ready_at`, divider reservations, and the per-thread
-    // icache/redirect/migration stall expiries. Every deadline is state
-    // the machine already tracks (the load-delay-tracking observation:
-    // long-latency events publish their deadlines when they begin), so
-    // the check is O(threads + ready entries) and allocation-free, and
-    // `run` pays it every cycle: a busy cycle answers at the first probe.
+    // frozen state (stall accounting, decay, the LSQ-full charges), so a
+    // maximal window of them can be applied in one `skip_cycles` call.
+    // `stall_horizon` computes the window end: the earliest cycle at
+    // which any state the pipeline consults can change — the completion
+    // calendar's next occupied bucket, front-end `ready_at`, divider
+    // reservations, and the per-thread icache/redirect/migration stall
+    // expiries. Every deadline is state the machine already tracks (the
+    // load-delay-tracking observation: long-latency events publish their
+    // deadlines when they begin), so the check is O(threads + ready
+    // entries) and allocation-free, and `run` pays it every cycle: a busy
+    // cycle answers at the first probe. Slot attribution is left to
+    // stepping: an attributed machine never skips.
 
     /// If the current cycle is a pure-stall cycle, the earliest future
     /// cycle at which any architectural state can change (`u64::MAX`
     /// when nothing is in flight at all, e.g. every context parked);
-    /// `None` if some stage can act this cycle and stepping must proceed.
+    /// `None` if some stage can act this cycle and stepping must proceed,
+    /// and always `None` while slot attribution is live.
     pub(crate) fn stall_horizon(&self) -> Option<u64> {
+        if self.attr.is_some() {
+            return None;
+        }
         let now = self.cycle;
         let mut horizon = u64::MAX;
-        let drain = !self.pending_syscalls.is_empty();
 
         // Complete / commit: an occupied bucket now means completions to
         // drain (its next occupied one is a horizon candidate, taken last);
@@ -1075,64 +1100,23 @@ impl SmtMachine {
             }
         }
 
-        // Dispatch consumes strictly from the FIFO head: popping a
-        // squashed bubble or a syscall is a state change; a head still in
-        // the decode pipe publishes its `ready_at` as a deadline; a ready
-        // head that clears every structural hazard would dispatch. A
-        // ready head *blocked* by a hazard pins the front end until an
-        // issue or commit frees the resource — event-driven, already
-        // covered by the completion deadlines above.
+        // Dispatch: a head still in the decode pipe publishes its
+        // `ready_at` as a deadline. A ready head *blocked* by a hazard
+        // pins the front end until an issue or commit frees the resource
+        // — event-driven, already covered by the completion deadlines
+        // above (the LSQ-full charge it accrues meanwhile is replayed by
+        // `skip_cycles`).
         if self.cfg.dispatch_width > 0 {
-            if let Some((tid, seq, _)) = self.dispatch_fifo.front() {
-                let ti = tid.idx();
-                match find_seq(&self.threads[ti].window, seq) {
-                    None => return None, // bubble pop
-                    Some(i) => {
-                        let op = &self.threads[ti].window[i];
-                        match op.stage {
-                            Stage::FrontEnd { ready_at } if ready_at <= now => {
-                                let kind = op.uop.kind;
-                                if kind == OpKind::Syscall {
-                                    return None; // popped into the window
-                                }
-                                let iq_full = if kind.is_fp() {
-                                    self.fp_iq.len() >= self.cfg.fp_iq_size
-                                } else {
-                                    self.int_iq.len() >= self.cfg.int_iq_size
-                                };
-                                if !iq_full {
-                                    if kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size {
-                                        // Stalled on the full LSQ: a pure
-                                        // stall, but one that charges the
-                                        // head thread's `lsq_full_cycles`
-                                        // per cycle — `skip_cycles`
-                                        // replays the charge in bulk.
-                                    } else {
-                                        let blocked_on_regs = match op.uop.dst {
-                                            Some(d) => {
-                                                let free = match d.class {
-                                                    RegClass::Int => self.free_int_regs,
-                                                    RegClass::Fp => self.free_fp_regs,
-                                                };
-                                                free == 0
-                                            }
-                                            None => false,
-                                        };
-                                        if !blocked_on_regs {
-                                            return None; // would dispatch
-                                        }
-                                    }
-                                }
-                            }
-                            Stage::FrontEnd { ready_at } => {
-                                horizon = horizon.min(ready_at);
-                            }
-                            // Defensive: dispatch would stall on this
-                            // head until a squash removes it.
-                            _ => {}
-                        }
-                    }
+            match self.dispatch_head() {
+                DispatchHead::Bubble | DispatchHead::Syscall | DispatchHead::Ready { .. } => {
+                    return None
                 }
+                DispatchHead::Decoding { ready_at } => horizon = horizon.min(ready_at),
+                DispatchHead::Empty
+                | DispatchHead::Stuck
+                | DispatchHead::IqFull
+                | DispatchHead::LsqFull { .. }
+                | DispatchHead::NoFreeReg => {}
             }
         }
 
@@ -1141,7 +1125,7 @@ impl SmtMachine {
         // thread blocked *only* by timed stalls becomes fetchable at
         // their expiry; one also blocked structurally (full window or
         // fetch buffer) unblocks via commit/dispatch events instead.
-        if !drain {
+        if self.pending_syscalls.is_empty() {
             for ctx in &self.threads {
                 if !ctx.fetch_enabled {
                     continue;
@@ -1170,26 +1154,6 @@ impl SmtMachine {
             horizon = horizon.min(due);
         }
 
-        // With attribution live, the skipped cycles' slot causes must
-        // also be constant across the window: cap it at *every* timed
-        // stall expiry, so `> now` classifications (migration vs L1I vs
-        // redirect vs ROB-full, squash-drain vs empty) cannot flip
-        // mid-window. Purely a window-length cap — uninstrumented runs
-        // skip further in one go, with identical architectural effect.
-        if self.attr.is_some() {
-            for ctx in &self.threads {
-                for expiry in [
-                    ctx.icache_stall_until,
-                    ctx.redirect_stall_until,
-                    ctx.migration_stall_until,
-                ] {
-                    if expiry > now {
-                        horizon = horizon.min(expiry);
-                    }
-                }
-            }
-        }
-
         debug_assert!(horizon > now);
         Some(horizon)
     }
@@ -1197,39 +1161,20 @@ impl SmtMachine {
     /// Fast-forward `k` cycles of a pure-stall window (the caller has
     /// established via [`SmtMachine::stall_horizon`] that no stage can
     /// act before `self.cycle + k`), applying exactly the per-cycle
-    /// effects cycle-by-cycle stepping would have produced: the issue
-    /// walk's `deps_done` memoization, LSQ-full charges, stall
-    /// accounting with decay interleaved at period boundaries, and the
-    /// closed-form slot attribution.
+    /// effects cycle-by-cycle stepping would have produced: LSQ-full and
+    /// syscall-drain charges, and stall accounting with decay interleaved
+    /// at period boundaries.
     pub(crate) fn skip_cycles(&mut self, k: u64) {
         debug_assert!(k >= 1);
         let now = self.cycle;
         let end = now + k;
         let drain = !self.pending_syscalls.is_empty();
 
-        // The first skipped cycle's issue walk visits every ready entry
-        // (nothing issues, so the budget never runs out) and memoizes
-        // `deps_done` on each — try_issue marks the memo *before*
-        // discovering the unit is busy. `deps_done` is serialized state,
-        // so replay it or snapshots would diverge.
-        for &idx in &self.int_ready {
-            self.int_iq.payload_mut(idx).deps_done = true;
-        }
-        if self.cfg.fp_units > 0 {
-            for &idx in &self.fp_ready {
-                self.fp_iq.payload_mut(idx).deps_done = true;
-            }
-        }
-
-        // A dispatch head ready but blocked solely by the full LSQ
-        // charges its thread every cycle (dispatch's hazard order:
-        // IQ-full stalls silently first, register pressure after).
         if self.cfg.dispatch_width > 0 {
-            if let Some(ti) = self.dispatch_head_lsq_blocked(now) {
+            if let DispatchHead::LsqFull { ti } = self.dispatch_head() {
                 self.threads[ti].counters.lsq_full_cycles += k;
             }
         }
-
         if self.lsq.len() >= self.cfg.lsq_size {
             self.global.lsq_full_cycles += k;
         }
@@ -1265,137 +1210,9 @@ impl SmtMachine {
             c = seg_end;
         }
 
-        if self.attr.is_some() {
-            self.skip_attr(now, k, drain);
-        }
-
         self.cycle = end;
         self.global.cycles = end;
         self.skipped_cycles += k;
-    }
-
-    /// Is the dispatch head a ready op whose only structural hazard is
-    /// the full LSQ? Mirrors the hazard cascade in
-    /// [`SmtMachine::dispatch`] without side effects.
-    fn dispatch_head_lsq_blocked(&self, now: u64) -> Option<usize> {
-        let (tid, seq, _) = self.dispatch_fifo.front()?;
-        let ti = tid.idx();
-        let i = find_seq(&self.threads[ti].window, seq)?;
-        let op = &self.threads[ti].window[i];
-        match op.stage {
-            Stage::FrontEnd { ready_at } if ready_at <= now => {}
-            _ => return None,
-        }
-        let kind = op.uop.kind;
-        if kind == OpKind::Syscall {
-            return None; // unreachable in a stall window; dispatch pops it
-        }
-        let iq_full = if kind.is_fp() {
-            self.fp_iq.len() >= self.cfg.fp_iq_size
-        } else {
-            self.int_iq.len() >= self.cfg.int_iq_size
-        };
-        if iq_full {
-            return None;
-        }
-        (kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size).then_some(ti)
-    }
-
-    /// Closed-form slot attribution for a skipped window of `k` pure
-    /// stall cycles starting at `now`: zero slots are used at any stage,
-    /// each thread's blocking cause is constant (the horizon is capped
-    /// at every stall expiry while attributing), and the per-cycle
-    /// round-robin distributions aggregate by counting how many window
-    /// cycles start each rotation phase. Conservation is preserved
-    /// exactly: every stage distributes `width × k` slots.
-    fn skip_attr(&mut self, now: u64, k: u64, drain: bool) {
-        let Some(mut attr) = self.attr.take() else {
-            return;
-        };
-        let n = self.threads.len();
-        let n64 = n as u64;
-        attr.cycles += k;
-        // phase_cycles[r] = window cycles whose round-robin start is r.
-        let mut phase_cycles = vec![0u64; n];
-        for (r, count) in phase_cycles.iter_mut().enumerate() {
-            let r = r as u64;
-            let first = now + (r + n64 - now % n64) % n64;
-            if first < now + k {
-                *count = (now + k - first - 1) / n64 + 1;
-            }
-        }
-        // Slots thread `t` receives when `width` slots/cycle are dealt
-        // round-robin from each cycle's phase: slot j of a phase-r cycle
-        // lands on (r + j) mod n.
-        let slots_for = |t: usize, width: usize| -> u64 {
-            (0..width).map(|j| phase_cycles[(t + n - j % n) % n]).sum()
-        };
-
-        for (t, ctx) in self.threads.iter().enumerate() {
-            let cause = match ctx.window.front() {
-                None if ctx.redirect_stall_until > now => CommitCause::SquashDrain,
-                None => CommitCause::Empty,
-                Some(head) => {
-                    if head.dmiss && matches!(head.stage, Stage::Executing { .. }) {
-                        CommitCause::DataMiss
-                    } else {
-                        CommitCause::NotReady
-                    }
-                }
-            };
-            attr.stacks[t].commit[cause as usize] += slots_for(t, self.cfg.commit_width);
-        }
-
-        // Issue: the per-cycle walk blames leftover queue entries in age
-        // order; queues are frozen, so each of the first `issue_width`
-        // entries soaks one slot per cycle — k over the window.
-        let mut lost = self.cfg.issue_width;
-        for queue in [&self.int_iq, &self.fp_iq] {
-            let mut idx = queue.first();
-            while idx != NIL && lost > 0 {
-                let (tid, _) = queue.key(idx);
-                let d = queue.payload(idx);
-                let cause = if !d.deps_done && d.pending != 0 {
-                    IssueCause::DepsNotReady
-                } else {
-                    IssueCause::FuBusy
-                };
-                attr.stacks[tid.idx()].issue[cause as usize] += k;
-                lost -= 1;
-                idx = queue.next_of(idx);
-            }
-        }
-        let empty = if drain {
-            IssueCause::Drain
-        } else {
-            IssueCause::IqEmpty
-        };
-        for t in 0..n {
-            attr.stacks[t].issue[empty as usize] += slots_for(t, lost);
-        }
-
-        for (t, ctx) in self.threads.iter().enumerate() {
-            let cause = if drain {
-                FetchCause::Drain
-            } else if !ctx.fetch_enabled {
-                FetchCause::PolicyStarved
-            } else if ctx.migration_stall_until > now {
-                FetchCause::Migration
-            } else if ctx.icache_stall_until > now {
-                FetchCause::L1iMiss
-            } else if ctx.redirect_stall_until > now {
-                FetchCause::Redirect
-            } else if ctx.window.len() >= self.cfg.rob_per_thread {
-                FetchCause::RobFull
-            } else if (ctx.counters.front_end_occ as usize) >= self.cfg.fetch_buffer_per_thread {
-                FetchCause::FrontEndFull
-            } else {
-                FetchCause::PolicyStarved
-            };
-            attr.stacks[t].fetch[cause as usize] += slots_for(t, self.cfg.fetch_width);
-        }
-
-        self.attr = Some(attr);
     }
 
     // ------------------------------------------------------------------
@@ -1829,13 +1646,10 @@ impl SmtMachine {
         // `deps_ready` is kept as the reference oracle and cross-checked
         // in debug builds.
         debug_assert_eq!(d.pending, 0, "dep-blocked entry on the ready list");
-        if !d.deps_done {
-            debug_assert!(
-                Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                "pending == 0 but search says blocked"
-            );
-            self.int_iq.payload_mut(idx).deps_done = true;
-        }
+        debug_assert!(
+            Self::deps_ready(&self.threads[tid.idx()], &d.deps),
+            "pending == 0 but search says blocked"
+        );
         let done_at = match d.kind {
             OpKind::IntAlu | OpKind::Nop | OpKind::Branch => {
                 if *int_units == 0 {
@@ -2026,13 +1840,10 @@ impl SmtMachine {
         let q = QRef { tid, seq };
         let d = *self.fp_iq.payload(idx);
         debug_assert_eq!(d.pending, 0, "dep-blocked entry on the ready list");
-        if !d.deps_done {
-            debug_assert!(
-                Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                "pending == 0 but search says blocked"
-            );
-            self.fp_iq.payload_mut(idx).deps_done = true;
-        }
+        debug_assert!(
+            Self::deps_ready(&self.threads[tid.idx()], &d.deps),
+            "pending == 0 but search says blocked"
+        );
         let done_at = match d.kind {
             OpKind::FpAlu => now + self.cfg.lat_fp_alu,
             OpKind::FpMul => now + self.cfg.lat_fp_mul,
@@ -2071,59 +1882,87 @@ impl SmtMachine {
     // stage 4: dispatch
     // ------------------------------------------------------------------
 
+    /// Classify the dispatch head against the in-order front end's
+    /// hazard cascade, without side effects. The one copy of the cascade:
+    /// `dispatch` acts on it, `stall_horizon` reads a deadline from it and
+    /// `skip_cycles` replays its LSQ-full charge.
+    fn dispatch_head(&self) -> DispatchHead {
+        let Some((tid, seq, _)) = self.dispatch_fifo.front() else {
+            return DispatchHead::Empty;
+        };
+        let ti = tid.idx();
+        let Some(i) = find_seq(&self.threads[ti].window, seq) else {
+            return DispatchHead::Bubble;
+        };
+        let op = &self.threads[ti].window[i];
+        match op.stage {
+            Stage::FrontEnd { ready_at } if ready_at <= self.cycle => {}
+            Stage::FrontEnd { ready_at } => return DispatchHead::Decoding { ready_at },
+            _ => return DispatchHead::Stuck,
+        }
+        let kind = op.uop.kind;
+        if kind == OpKind::Syscall {
+            return DispatchHead::Syscall;
+        }
+        let iq_full = if kind.is_fp() {
+            self.fp_iq.len() >= self.cfg.fp_iq_size
+        } else {
+            self.int_iq.len() >= self.cfg.int_iq_size
+        };
+        if iq_full {
+            return DispatchHead::IqFull;
+        }
+        if kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size {
+            return DispatchHead::LsqFull { ti };
+        }
+        if let Some(d) = op.uop.dst {
+            let free = match d.class {
+                RegClass::Int => self.free_int_regs,
+                RegClass::Fp => self.free_fp_regs,
+            };
+            if free == 0 {
+                return DispatchHead::NoFreeReg;
+            }
+        }
+        DispatchHead::Ready { ti, i }
+    }
+
     fn dispatch<const TRACE: bool>(&mut self) {
         let now = self.cycle;
         let mut budget = self.cfg.dispatch_width;
         while budget > 0 {
-            let Some((tid, seq, _)) = self.dispatch_fifo.front() else {
-                break;
-            };
-            let ti = tid.idx();
-            let Some(i) = find_seq(&self.threads[ti].window, seq) else {
-                // Squashed while queued for decode; skip the bubble.
-                self.dispatch_fifo.pop_front();
-                continue;
-            };
-            let op = &self.threads[ti].window[i];
-            match op.stage {
-                Stage::FrontEnd { ready_at } if ready_at <= now => {}
-                // Still in the decode pipe (or already handled): stall.
-                _ => break,
-            }
-            let kind = op.uop.kind;
-            if kind == OpKind::Syscall {
+            let (ti, i) = match self.dispatch_head() {
+                DispatchHead::Ready { ti, i } => (ti, i),
                 // Syscalls hold no queue resources; they leave the decode
                 // pipe and wait in the window for the machine-wide drain.
-                self.dispatch_fifo.pop_front();
-                continue;
-            }
-            // Structural hazards stall the whole in-order front end.
-            let is_fp = kind.is_fp();
-            if is_fp {
-                if self.fp_iq.len() >= self.cfg.fp_iq_size {
+                DispatchHead::Bubble | DispatchHead::Syscall => {
+                    self.dispatch_fifo.pop_front();
+                    continue;
+                }
+                DispatchHead::LsqFull { ti } => {
+                    self.threads[ti].counters.lsq_full_cycles += 1;
                     break;
                 }
-            } else if self.int_iq.len() >= self.cfg.int_iq_size {
-                break;
-            }
-            if kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size {
-                self.threads[ti].counters.lsq_full_cycles += 1;
-                break;
-            }
-            if let Some(d) = op.uop.dst {
-                let free = match d.class {
-                    RegClass::Int => &mut self.free_int_regs,
-                    RegClass::Fp => &mut self.free_fp_regs,
-                };
-                if *free == 0 {
-                    break;
-                }
-                *free -= 1;
-            }
+                // Structural hazards stall the whole in-order front end.
+                DispatchHead::Empty
+                | DispatchHead::Decoding { .. }
+                | DispatchHead::Stuck
+                | DispatchHead::IqFull
+                | DispatchHead::NoFreeReg => break,
+            };
             // Commit the dispatch.
+            let tid = self.threads[ti].tid;
+            let op = &self.threads[ti].window[i];
+            let (seq, kind, deps) = (op.seq, op.uop.kind, op.deps);
+            let is_fp = kind.is_fp();
             let addr8 = op.uop.mem.map(|m| m.addr >> 3);
             let is_store = kind == OpKind::Store;
-            let deps = op.deps;
+            if let Some(d) = op.uop.dst {
+                match d.class {
+                    RegClass::Int => self.free_int_regs -= 1,
+                    RegClass::Fp => self.free_fp_regs -= 1,
+                }
+            }
             let ctx = &mut self.threads[ti];
             ctx.window[i].stage = Stage::Queued;
             ctx.counters.front_end_occ -= 1;
@@ -2131,7 +1970,6 @@ impl SmtMachine {
             let data = IqData {
                 kind,
                 deps,
-                deps_done: false,
                 pending: 0,
                 age: self.next_age,
             };
@@ -2729,7 +2567,7 @@ impl SmtMachine {
             while idx != NIL && lost > 0 {
                 let (tid, _) = queue.key(idx);
                 let d = queue.payload(idx);
-                let cause = if !d.deps_done && d.pending != 0 {
+                let cause = if d.pending != 0 {
                     debug_assert!(!Self::deps_ready(&self.threads[tid.idx()], &d.deps));
                     IssueCause::DepsNotReady
                 } else {
@@ -2963,10 +2801,6 @@ impl SmtMachine {
                     d.pending == 0,
                     Self::deps_ready(ctx, &d.deps),
                     "pending disagrees with the search oracle on {tid} seq {seq}"
-                );
-                assert!(
-                    !d.deps_done || d.pending == 0,
-                    "deps_done memo with pending producers on {tid} seq {seq}"
                 );
                 assert!(
                     last_age.is_none_or(|a| a < d.age),

@@ -1,7 +1,7 @@
 //! Multi-core SMT: N [`SmtMachine`] cores sharing one L2.
 //!
 //! Each core keeps its private L1s, branch predictor, queues and
-//! contexts; the L2 is lifted out of the per-core [`Hierarchy`] into a
+//! contexts; the L2 is lifted out of the per-core [`Hierarchy`](crate::Hierarchy) into a
 //! single shared array. Sharing is implemented by *rotation*: every
 //! simulated cycle the shared L2 is swapped into core 0's hierarchy,
 //! core 0 steps one cycle, the L2 is swapped back out, then core 1, and
@@ -29,6 +29,7 @@ use crate::cache::Cache;
 use crate::chooser::FetchChooser;
 use crate::counters::{CounterSnapshot, ThreadCounters};
 use crate::machine::{MigratedThread, SmtMachine};
+use crate::snapshot::FORMAT_VERSION;
 use smt_isa::codec::{fnv1a_64, ByteReader, ByteWriter, CodecError};
 use smt_isa::Tid;
 
@@ -135,7 +136,9 @@ impl MultiCoreMachine {
     /// across the skip and the next stepped cycle arbitrates exactly as
     /// it would have cycle-by-cycle. (Each core's `l2_rot` is a static
     /// trace stamp of its rotation position, not a moving pointer, so
-    /// there is nothing to advance.)
+    /// there is nothing to advance.) A core with slot attribution enabled
+    /// never reports a horizon, so an attributed machine steps every
+    /// cycle.
     pub fn run<C: FetchChooser>(&mut self, cycles: u64, choosers: &mut [C]) {
         assert_eq!(choosers.len(), self.cores.len(), "one chooser per core");
         let end = self.cycle() + cycles;
@@ -239,8 +242,8 @@ impl MultiCoreMachine {
     }
 
     /// Core `i`, mutable (quantum-boundary use: policy notes, fetch
-    /// toggles — not for stepping, which must go through [`step`]
-    /// (Self::step) so the shared L2 stays coherent).
+    /// toggles — not for stepping, which must go through
+    /// [`step`](Self::step) so the shared L2 stays coherent).
     pub fn core_mut(&mut self, i: usize) -> &mut SmtMachine {
         &mut self.cores[i]
     }
@@ -368,7 +371,11 @@ const MC_MAGIC: [u8; 8] = *b"SMTMCKP\0";
 ///
 /// v1: initial layout — topology section (placement, migration state,
 /// shared L2), opaque allocator-state section, one section per core.
-pub const MC_FORMAT_VERSION: u32 = 1;
+///
+/// v2: the topology section ends with the snapshot [`FORMAT_VERSION`]
+/// of the core payloads, so a container whose cores were written in
+/// another `SmtMachine` layout is refused instead of misdecoded.
+pub const MC_FORMAT_VERSION: u32 = 2;
 
 /// A captured multi-core machine state plus an opaque allocator-state
 /// blob, with a self-describing checksummed byte container:
@@ -377,7 +384,8 @@ pub const MC_FORMAT_VERSION: u32 = 1;
 /// magic     [u8; 8]  = b"SMTMCKP\0"
 /// version   u32      = MC_FORMAT_VERSION
 /// n_cores   u32
-/// topology  section    placement / migrations / penalty / shared L2
+/// topology  section    placement / migrations / penalty / shared L2 /
+///                      core payload version u32 (= snapshot FORMAT_VERSION)
 /// alloc     section    opaque allocator state (may be empty)
 /// core 0    section    SmtMachine payload (machine.rs encode_into)
 /// ...
@@ -450,6 +458,7 @@ impl MultiCoreSnapshot {
             topo.u64(n);
         }
         m.shared_l2.encode_into(&mut topo);
+        topo.u32(FORMAT_VERSION);
         let topo = topo.into_bytes();
 
         let cores: Vec<Vec<u8>> = m
@@ -497,21 +506,9 @@ impl MultiCoreSnapshot {
             return Err(CodecError::Invalid("zero cores in container".into()));
         }
 
-        let topo = read_section(&mut r)?;
-        let alloc_state = read_section(&mut r)?.to_vec();
-        // Capacity clamped to the bytes actually present: a corrupted
-        // count must fail the framing checks, not abort the allocator.
-        let mut cores = Vec::with_capacity(n_cores.min(r.remaining()));
-        for _ in 0..n_cores {
-            let payload = read_section(&mut r)?;
-            let mut cr = ByteReader::new(payload);
-            let core = SmtMachine::decode_from(&mut cr)?;
-            cr.finish()?;
-            cores.push(core);
-        }
-        r.finish()?;
-
-        let mut tr = ByteReader::new(topo);
+        // The topology is parsed first: it records the core payload
+        // version, which must match before any core is decoded.
+        let mut tr = ByteReader::new(read_section(&mut r)?);
         let n_threads = tr.usize()?;
         if n_threads == 0 {
             return Err(CodecError::Invalid("zero threads in topology".into()));
@@ -526,7 +523,27 @@ impl MultiCoreSnapshot {
             migrations.push(tr.u64()?);
         }
         let shared_l2 = Cache::decode_from(&mut tr)?;
+        let core_version = tr.u32()?;
         tr.finish()?;
+        if core_version != FORMAT_VERSION {
+            return Err(CodecError::UnsupportedVersion {
+                found: core_version,
+                expected: FORMAT_VERSION,
+            });
+        }
+
+        let alloc_state = read_section(&mut r)?.to_vec();
+        // Capacity clamped to the bytes actually present: a corrupted
+        // count must fail the framing checks, not abort the allocator.
+        let mut cores = Vec::with_capacity(n_cores.min(r.remaining()));
+        for _ in 0..n_cores {
+            let payload = read_section(&mut r)?;
+            let mut cr = ByteReader::new(payload);
+            let core = SmtMachine::decode_from(&mut cr)?;
+            cr.finish()?;
+            cores.push(core);
+        }
+        r.finish()?;
 
         let mut occupied: Vec<Vec<bool>> =
             cores.iter().map(|c| vec![false; c.n_threads()]).collect();

@@ -69,7 +69,11 @@ pub const MAGIC: [u8; 8] = *b"SMTCKPT\0";
 /// v4: `ThreadCtx` dropped `min_done_at` (the per-thread completion
 /// bound the completion calendar replaced), changing the thread payload
 /// layout.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// v5: the instruction-queue payload dropped the `deps_done` memo (an
+/// entry's readiness is its rebuilt `pending == 0`), changing the int/fp
+/// queue layout.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A captured warm machine state.
 ///
@@ -243,7 +247,7 @@ mod tests {
         let mut m = machine(1, 23);
         m.run(200, &mut RoundRobin);
         let bytes = MachineSnapshot::capture(&m).to_bytes();
-        // The previous layout (v3 still carried `min_done_at`) and a
+        // The previous layout (v4 still carried `deps_done`) and a
         // future one are both refused by version, before any decoding.
         for found in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
             let mut old = bytes.clone();

@@ -889,6 +889,89 @@ mod skip_boundaries {
         );
     }
 
+    /// A ready dispatch head held across a 600-cycle D-miss window by
+    /// each hazard of the one dispatch-head classifier in turn. `dispatch`
+    /// acts on the classification, `stall_horizon` reads its deadline from
+    /// it and `skip_cycles` replays its LSQ-full charge, so the skipped
+    /// twin must land on the stepped twin's exact state while the hazard
+    /// holds, and only the LSQ case charges `lsq_full_cycles`.
+    #[test]
+    fn ready_head_held_by_each_dispatch_hazard() {
+        /// Name, config tweak, ops after the miss, "the hazard holds".
+        type Case = (
+            &'static str,
+            fn(&mut SimConfig),
+            Vec<MicroOp>,
+            fn(&SmtMachine) -> bool,
+        );
+        let miss = load(0x0, 3, 0x10_000);
+        let dependent_alus: Vec<MicroOp> = (1..8u8)
+            .map(|i| alu(4 * i as u64, 3 + i, Some(3)))
+            .collect();
+        let loads: Vec<MicroOp> = (1..4u8)
+            .map(|i| load(4 * i as u64, 3 + i, 0x10_000 * (i as u64 + 1)))
+            .collect();
+        let free_alus: Vec<MicroOp> = (1..8u8).map(|i| alu(4 * i as u64, 3 + i, None)).collect();
+        let cases: [Case; 3] = [
+            (
+                "IQ full",
+                |c| c.int_iq_size = 4,
+                dependent_alus,
+                |m| m.int_iq_len() == m.config().int_iq_size,
+            ),
+            (
+                "LSQ full",
+                |c| c.lsq_size = 2,
+                loads,
+                |m| m.lsq_len() == m.config().lsq_size,
+            ),
+            (
+                "rename pool empty",
+                |c| c.extra_phys_int = 4,
+                free_alus,
+                // The front end is full although both queues have room.
+                |m| {
+                    m.int_iq_len() < m.config().int_iq_size
+                        && m.lsq_len() < m.config().lsq_size
+                        && m.counters(Tid(0)).front_end_occ as usize
+                            == m.config().fetch_buffer_per_thread
+                },
+            ),
+        ];
+        for (what, tweak, fill, held) in cases {
+            let mut cfg = SimConfig::with_threads(1);
+            cfg.mem_latency = 600;
+            tweak(&mut cfg);
+            let script = std::iter::once(miss).chain(fill).collect();
+            let mut fast = machine_with(script, cfg);
+            fast.set_skip_enabled(true);
+            let mut slow = fast.clone();
+            slow.set_skip_enabled(false);
+            let mut skipped_while_held = 0;
+            for _ in 0..60 {
+                let (before, skipped) = (held(&fast), fast.skipped_cycles());
+                fast.run(50, &mut RoundRobin);
+                slow.run(50, &mut RoundRobin);
+                assert_bit_identical(&fast, &slow, what);
+                if before && held(&fast) {
+                    skipped_while_held += fast.skipped_cycles() - skipped;
+                }
+            }
+            assert!(fast.skipped_cycles() > 0, "{what}: nothing skipped");
+            assert!(
+                skipped_while_held > 0,
+                "{what}: no window skipped while the hazard held"
+            );
+            let lsq_charged = slow.counters(Tid(0)).lsq_full_cycles;
+            assert_eq!(
+                lsq_charged > 0,
+                what == "LSQ full",
+                "{what}: {lsq_charged} LSQ-full cycles charged"
+            );
+            fast.check_invariants();
+        }
+    }
+
     /// A migration penalty longer than every other stall: the horizon is
     /// the penalty expiry itself, and the skip must stop exactly there
     /// (fetch resumes the same cycle as under stepping).

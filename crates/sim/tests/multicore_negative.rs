@@ -8,12 +8,14 @@
 //! length-framed and FNV-checksummed. The tests probe the framing
 //! (truncation at every byte, trailing garbage, a lying core count), the
 //! checksums (a flip at every byte, targeted per-core payload flips), the
-//! header fields (foreign magic, future version), and the semantic
-//! topology validation (out-of-range cores/slots, doubly-assigned slots)
-//! — the latter by mutating the topology payload and *restamping* its
-//! checksum, so validation and not the checksum is what must catch it.
+//! header fields (foreign magic, future version), and the topology's
+//! contents (a stale core payload version, out-of-range cores/slots,
+//! doubly-assigned slots) — the latter by mutating the topology payload
+//! and *restamping* its checksum, so validation and not the checksum is
+//! what must catch it.
 
 use smt_isa::codec::{fnv1a_64, CodecError};
+use smt_sim::snapshot::FORMAT_VERSION;
 use smt_sim::{
     MultiCoreMachine, MultiCoreSnapshot, RoundRobin, SimConfig, SmtMachine, MC_FORMAT_VERSION,
 };
@@ -183,6 +185,25 @@ fn future_version_is_rejected_with_both_versions_named() {
     }
 }
 
+/// A container whose cores were written in an older `SmtMachine` layout
+/// is refused by the core payload version its topology records (the
+/// last four topology bytes), before any core is decoded.
+#[test]
+fn stale_core_payload_version_is_rejected_with_both_versions_named() {
+    let stale = FORMAT_VERSION - 1;
+    let bad = with_restamped_topology(sample_bytes(), |topo| {
+        let at = topo.len() - 4;
+        assert_eq!(topo[at..], FORMAT_VERSION.to_le_bytes());
+        topo[at..].copy_from_slice(&stale.to_le_bytes());
+    });
+    match MultiCoreSnapshot::from_bytes(&bad) {
+        Err(CodecError::UnsupportedVersion { found, expected }) => {
+            assert_eq!((found, expected), (stale, FORMAT_VERSION));
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
 /// The declared core count must agree with the sections actually present:
 /// zero is semantically invalid, fewer leaves trailing bytes, more runs
 /// off the end.
@@ -223,7 +244,8 @@ fn trailing_garbage_is_rejected() {
 }
 
 // Topology payload layout (multicore.rs to_bytes): n_threads u64 |
-// (core u32, slot u32) × n | penalty u64 | migrations u64 × n | L2…
+// (core u32, slot u32) × n | penalty u64 | migrations u64 × n | L2… |
+// core payload version u32.
 // Thread g's core id therefore sits at payload offset 8 + 8g.
 
 #[test]

@@ -4,7 +4,8 @@
 //! `skip_cycles`) claims to be *bit-identical* to cycle-by-cycle
 //! stepping: every skipped window is pure stall, and every per-cycle
 //! effect those cycles would have had (stall accounting, decay,
-//! LSQ-full charges, slot attribution) is applied in closed form. These
+//! LSQ-full charges) is applied in closed form; slot attribution turns
+//! skipping off, so the CPI stacks only ever come from stepping. These
 //! tests run two timelines of the same machine — one with skipping
 //! enabled, one pinned to single-stepping — through random mixes,
 //! random run-length chunking, and flush/replace/migration churn, and
@@ -110,9 +111,10 @@ proptest! {
         fast.check_invariants();
     }
 
-    /// With slot attribution live, the closed-form skipped-cycle
-    /// classification must equal the per-cycle one — same stacks, same
-    /// conservation — on top of the architectural bit-identity.
+    /// Slot attribution disables skipping: an attributed skip-enabled
+    /// machine steps every cycle, so its stacks come from the stepped
+    /// stages alone and equal the skip-off twin's, on top of the
+    /// architectural bit-identity.
     #[test]
     fn skip_matches_stepping_with_attribution(
         mix_id in 1usize..14,
@@ -130,9 +132,10 @@ proptest! {
             assert_eq!(
                 fast.attr().expect("attr enabled").snapshot(),
                 slow.attr().expect("attr enabled").snapshot(),
-                "skipped-cycle attribution diverged from per-cycle"
+                "skip-enabled attribution diverged from per-cycle"
             );
         }
+        assert_eq!(fast.skipped_cycles(), 0, "an attributed machine skipped");
         assert!(fast.disable_attr().is_some());
         assert_bit_identical(&fast, &slow);
     }
