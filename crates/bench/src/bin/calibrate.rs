@@ -17,9 +17,10 @@
 
 use adts_core::CondThresholds;
 use smt_bench::{
-    alloc_sweep, fixed_series, parallel::par_map, sweep, tracebench, AllocCli, CkptCli, ExpParams,
-    InstrumentCli, SpanCli, TraceCli, ALLOC_USAGE, CKPT_USAGE, INSTRUMENT_USAGE, SPANS_USAGE,
-    TRACE_USAGE,
+    alloc_sweep, fixed_series,
+    sweep::{self, par_map},
+    tracebench, AllocCli, CkptCli, ExpParams, InstrumentCli, SpanCli, TraceCli, ALLOC_USAGE,
+    CKPT_USAGE, INSTRUMENT_USAGE, SPANS_USAGE, TRACE_USAGE,
 };
 use smt_policies::FetchPolicy;
 use smt_stats::mean;

@@ -317,14 +317,14 @@ impl InstrumentCli {
 
     /// Run whichever instrumented passes were requested, in the canonical
     /// order (observe, then explain). When the user also asked for the
-    /// multi-core context (`--cores`/`--alloc`/`--mig-penalty` with more
-    /// than one core), the passes instrument that context instead of the
-    /// single-core one — previously `--obs --cores 2` silently observed
-    /// a single-core run.
+    /// allocation context (any of `--cores`/`--alloc`/`--mig-penalty`,
+    /// `--cores 1` included), the passes instrument the allocation
+    /// experiment — fetch × allocation on that many cores — instead of
+    /// the fixed + ADTS single-core one, so the observed run is the one
+    /// the flags describe.
     pub fn run(&self, p: &ExpParams, alloc: &AllocCli) {
-        let multicore = alloc.requested && alloc.cores > 1;
         if self.obs.enabled {
-            if multicore {
+            if alloc.requested {
                 obs::run_observations_multicore(
                     p,
                     &self.obs,
@@ -337,7 +337,7 @@ impl InstrumentCli {
             }
         }
         if self.attr.enabled {
-            if multicore {
+            if alloc.requested {
                 attr::run_explain_multicore(
                     p,
                     &self.attr,

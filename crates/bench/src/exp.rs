@@ -5,19 +5,19 @@
 //! paper plots. All randomness derives from [`ExpParams::seed`], so every
 //! table is reproducible bit-for-bit.
 
-use crate::parallel::par_map;
 use crate::params::ExpParams;
-use crate::sweep;
-use crate::warm::{warmed_machine, warmed_machine_with};
+use crate::sweep::{self, par_map};
+use crate::warm::{warmed_machine, warmed_machine_with, warmed_multicore};
 use adts_core::{
-    adaptive::SelfTuning, machine_for_mix, run_fixed, run_oracle, AdaptiveScheduler, AdtsConfig,
-    AllocCell, AllocKind, CondThresholds, DtModel, EvictionPolicy, HeuristicKind, JobSchedConfig,
-    JobScheduler, OracleConfig,
+    adaptive::SelfTuning, machine_for_mix, run_adaptive, run_fixed, run_oracle, AdaptiveScheduler,
+    AdtsConfig, AllocCell, AllocKind, CondThresholds, DtModel, EvictionPolicy, HeuristicKind,
+    JobSchedConfig, JobScheduler, OracleConfig, PointCell,
 };
 use smt_policies::FetchPolicy;
-use smt_sim::SimConfig;
+use smt_sim::{LockstepCell, LockstepMachine, SimConfig};
 use smt_stats::{mean, RunSeries, Table};
 use smt_workloads::Mix;
+use std::sync::OnceLock;
 
 /// The adaptive policy triple (what the heuristics switch among).
 pub const TRIPLE: [FetchPolicy; 3] = [
@@ -187,17 +187,31 @@ pub fn threshold_type_sweep(p: &ExpParams) -> ThresholdTypeSweep {
 /// the two paths against each other, and the warm-pool speedup floor
 /// times the scalar path (batching collapses the per-point warmups whose
 /// elimination it measures).
+///
+/// Batched, the 26 points of a mix run as one lockstep batch
+/// ([`run_mix_batch`]), lazily on the mix's first cache miss and shared
+/// by all its missing points. Cache keys are the scalar path's in both
+/// modes, so caches interoperate across them.
 pub fn threshold_type_sweep_with(p: &ExpParams, batched: bool) -> ThresholdTypeSweep {
     let thresholds: Vec<f64> = vec![1.0, 2.0, 3.0, 4.0, 5.0];
     let kinds = HeuristicKind::ALL.to_vec();
     let mixes = p.mixes();
+    let batches: Vec<OnceLock<Vec<RunSeries>>> = mixes.iter().map(|_| OnceLock::new()).collect();
+    let batch_cell = |mi: usize, cell: usize| -> RunSeries {
+        batches[mi].get_or_init(|| run_mix_batch(&mixes[mi], &thresholds, &kinds, p).0)[cell]
+            .clone()
+    };
 
-    if batched {
-        return threshold_type_sweep_batched(thresholds, kinds, mixes, p);
-    }
-
-    let icount = par_map(mixes.clone(), |mix| {
-        fixed_series(mix, FetchPolicy::Icount, p).aggregate_ipc()
+    let icount = par_map((0..mixes.len()).collect(), |&mi| {
+        let mix = &mixes[mi];
+        let series = if batched {
+            let key = sweep::point_key("fixed", mix, p, &(default_cfg(mix), FetchPolicy::Icount));
+            let point = format!("{}/{}", mix.name, FetchPolicy::Icount.name());
+            sweep::engine().run_series("fixed", &point, key, || batch_cell(mi, 0))
+        } else {
+            fixed_series(mix, FetchPolicy::Icount, p)
+        };
+        series.aggregate_ipc()
     });
 
     let mut points = Vec::new();
@@ -208,8 +222,22 @@ pub fn threshold_type_sweep_with(p: &ExpParams, batched: bool) -> ThresholdTypeS
             }
         }
     }
-    let results = par_map(points.clone(), |&(_, _, mi, m, k)| {
-        let s = adaptive_series(&mixes[mi], adts(k, m, p), p);
+    let results = par_map(points.clone(), |&(ti, ki, mi, m, k)| {
+        let mix = &mixes[mi];
+        let cfg = adts(k, m, p);
+        let s = if batched {
+            let key = sweep::point_key(
+                "adaptive",
+                mix,
+                p,
+                &(default_cfg(mix), cfg, None::<Vec<FetchPolicy>>),
+            );
+            let point = format!("{}/{}", mix.name, cfg.heuristic.name());
+            let cell = 1 + ti * kinds.len() + ki;
+            sweep::engine().run_series("adaptive", &point, key, || batch_cell(mi, cell))
+        } else {
+            adaptive_series(mix, cfg, p)
+        };
         SweepCell {
             ipc: s.aggregate_ipc(),
             switches: s.switches.len(),
@@ -235,15 +263,14 @@ pub fn threshold_type_sweep_with(p: &ExpParams, batched: bool) -> ThresholdTypeS
 /// The canonical sweep's lockstep cells for one machine: the fixed-ICOUNT
 /// baseline followed by every (threshold, heuristic) ADTS point. Cell 0 is
 /// the baseline; cell `1 + ti*kinds.len() + ki` is (threshold `ti`,
-/// heuristic `ki`) — the same order `threshold_type_sweep_batched`
+/// heuristic `ki`) — the same order [`threshold_type_sweep_with`]
 /// indexes by.
 pub fn sweep_point_cells(
     n_threads: usize,
     thresholds: &[f64],
     kinds: &[HeuristicKind],
     p: &ExpParams,
-) -> Vec<adts_core::PointCell> {
-    use adts_core::PointCell;
+) -> Vec<PointCell> {
     let mut cells = vec![PointCell::fixed(FetchPolicy::Icount, p.quantum_cycles)];
     for &m in thresholds {
         for &k in kinds {
@@ -262,90 +289,28 @@ pub fn run_mix_batch(
     kinds: &[HeuristicKind],
     p: &ExpParams,
 ) -> (Vec<RunSeries>, smt_sim::BatchStats) {
-    use adts_core::PointCell;
     let machine = warmed_machine(mix, p);
     let cells = sweep_point_cells(machine.n_threads(), thresholds, kinds, p);
+    run_batch(machine, cells, p, PointCell::into_series)
+}
+
+/// The batch driver behind every lockstep sweep: step `cells` on the
+/// warmed `machine` for `p.quanta` quanta, noting each quantum's forks in
+/// the engine span trace, and collect each cell's series in cell order.
+pub(crate) fn run_batch<M: LockstepMachine, C: LockstepCell<M>>(
+    machine: M,
+    cells: Vec<C>,
+    p: &ExpParams,
+    into_series: fn(C) -> RunSeries,
+) -> (Vec<RunSeries>, smt_sim::BatchStats) {
     let mut batch = smt_sim::MachineBatch::new(machine, cells);
     for q in 0..p.quanta {
         let forks = batch.run_quantum();
         sweep::span::note_batch_forks(q, &forks);
     }
     let stats = batch.stats();
-    let series = batch
-        .into_cells()
-        .into_iter()
-        .map(PointCell::into_series)
-        .collect();
+    let series = batch.into_cells().into_iter().map(into_series).collect();
     (series, stats)
-}
-
-/// The lockstep implementation behind [`threshold_type_sweep`].
-///
-/// Cache keys are exactly the scalar path's, so warm caches interoperate
-/// across the two paths; the per-mix batch runs lazily on the first cache
-/// miss of that mix and is shared by all its missing points.
-fn threshold_type_sweep_batched(
-    thresholds: Vec<f64>,
-    kinds: Vec<HeuristicKind>,
-    mixes: Vec<Mix>,
-    p: &ExpParams,
-) -> ThresholdTypeSweep {
-    use std::sync::OnceLock;
-    let batches: Vec<OnceLock<Vec<RunSeries>>> = mixes.iter().map(|_| OnceLock::new()).collect();
-    let series_for = |mi: usize, cell: usize| -> RunSeries {
-        batches[mi].get_or_init(|| run_mix_batch(&mixes[mi], &thresholds, &kinds, p).0)[cell]
-            .clone()
-    };
-
-    let icount: Vec<f64> = par_map((0..mixes.len()).collect(), |&mi| {
-        let mix = &mixes[mi];
-        let key = sweep::point_key("fixed", mix, p, &(default_cfg(mix), FetchPolicy::Icount));
-        let point = format!("{}/{}", mix.name, FetchPolicy::Icount.name());
-        sweep::engine()
-            .run_series("fixed", &point, key, || series_for(mi, 0))
-            .aggregate_ipc()
-    });
-
-    let mut points = Vec::new();
-    for (ti, &m) in thresholds.iter().enumerate() {
-        for (ki, &k) in kinds.iter().enumerate() {
-            for mi in 0..mixes.len() {
-                points.push((ti, ki, mi, m, k));
-            }
-        }
-    }
-    let results = par_map(points.clone(), |&(ti, ki, mi, m, k)| {
-        let mix = &mixes[mi];
-        let cfg = adts(k, m, p);
-        let key = sweep::point_key(
-            "adaptive",
-            mix,
-            p,
-            &(default_cfg(mix), cfg, None::<Vec<FetchPolicy>>),
-        );
-        let point = format!("{}/{}", mix.name, cfg.heuristic.name());
-        let cell = 1 + ti * kinds.len() + ki;
-        let s = sweep::engine().run_series("adaptive", &point, key, || series_for(mi, cell));
-        SweepCell {
-            ipc: s.aggregate_ipc(),
-            switches: s.switches.len(),
-            judged: s.judged_switches(),
-            benign: s.switches.iter().filter(|e| e.benign == Some(true)).count(),
-        }
-    });
-
-    let mut cells = vec![vec![Vec::with_capacity(mixes.len()); kinds.len()]; thresholds.len()];
-    for ((ti, ki, _, _, _), cell) in points.into_iter().zip(results) {
-        cells[ti][ki].push(cell);
-    }
-    ThresholdTypeSweep {
-        thresholds,
-        kinds,
-        mix_names: mixes.iter().map(|m| m.name.clone()).collect(),
-        cells,
-        icount,
-        quanta: p.quanta,
-    }
 }
 
 impl ThresholdTypeSweep {
@@ -1025,12 +990,7 @@ pub fn ablate_prefetch(p: &ExpParams) -> Table {
             let acfg = adts(HeuristicKind::Type1, 4.0, p);
             let ad_key = sweep::point_key("prefetch-adaptive", mix, p, &(cfg.clone(), acfg));
             let s = sweep::engine().run_series("adaptive", &point, ad_key, || {
-                let mut m = warmed_machine_with(cfg, mix, p);
-                let mut sched = AdaptiveScheduler::new(acfg, m.n_threads());
-                for _ in 0..p.quanta {
-                    sched.run_quantum(&mut m);
-                }
-                sched.into_series()
+                run_adaptive(acfg, &mut warmed_machine_with(cfg, mix, p), p.quanta)
             });
             ad.push(s.aggregate_ipc());
         }
@@ -1113,8 +1073,8 @@ pub struct AllocSweep {
 
 /// Run the allocation sweep. Like [`threshold_type_sweep`] it steps as
 /// lockstep batches: all fetch × allocation points of one mix
-/// share one warmed [`smt_sim::MultiCoreMachine`] (from the warm pool's
-/// multi-core layer) until their placements diverge. The scalar
+/// share one warmed [`smt_sim::MultiCoreMachine`] (from the warm pool)
+/// until their placements diverge. The scalar
 /// per-point path ([`alloc_sweep_with`]) is bit-identical and shares
 /// cache keys.
 pub fn alloc_sweep(p: &ExpParams, cores: usize, allocs: &[AllocKind], penalty: u64) -> AllocSweep {
@@ -1143,36 +1103,6 @@ fn alloc_point_key(
     )
 }
 
-/// Step every (fetch, alloc) point of one mix as one lockstep batch on a
-/// single warmed multi-core machine. Cell `f * allocs.len() + a` is
-/// (fetch `f`, alloc `a`) — the order [`alloc_sweep_with`] indexes by.
-fn run_alloc_mix_batch(
-    mix: &Mix,
-    fetches: &[FetchPolicy],
-    allocs: &[AllocKind],
-    p: &ExpParams,
-    cores: usize,
-    penalty: u64,
-) -> Vec<RunSeries> {
-    let machine = crate::warm::warmed_multicore(mix, p, cores, penalty);
-    let mut cells = Vec::with_capacity(fetches.len() * allocs.len());
-    for &f in fetches {
-        for &a in allocs {
-            cells.push(AllocCell::new(f, a, p.quantum_cycles, &machine));
-        }
-    }
-    let mut batch = smt_sim::MachineBatch::new(machine, cells);
-    for q in 0..p.quanta {
-        let forks = batch.run_quantum();
-        sweep::span::note_batch_forks(q, &forks);
-    }
-    batch
-        .into_cells()
-        .into_iter()
-        .map(AllocCell::into_series)
-        .collect()
-}
-
 /// [`alloc_sweep`] with the stepping mode chosen explicitly (the unit
 /// tests pin both paths against each other).
 pub fn alloc_sweep_with(
@@ -1188,12 +1118,20 @@ pub fn alloc_sweep_with(
     let allocs = allocs.to_vec();
     let mixes = p.mixes();
 
-    use std::sync::OnceLock;
     let batches: Vec<OnceLock<Vec<RunSeries>>> = mixes.iter().map(|_| OnceLock::new()).collect();
+    // Every (fetch, alloc) point of one mix steps as one lockstep batch on
+    // a single warmed multi-core machine. Cell `f * allocs.len() + a` is
+    // (fetch `f`, alloc `a`).
     let series_for = |mi: usize, cell: usize| -> RunSeries {
-        batches[mi]
-            .get_or_init(|| run_alloc_mix_batch(&mixes[mi], &fetches, &allocs, p, cores, penalty))
-            [cell]
+        batches[mi].get_or_init(|| {
+            let machine = warmed_multicore(&mixes[mi], p, cores, penalty);
+            let cells = fetches
+                .iter()
+                .flat_map(|&f| allocs.iter().map(move |&a| (f, a)))
+                .map(|(f, a)| AllocCell::new(f, a, p.quantum_cycles, &machine))
+                .collect();
+            run_batch(machine, cells, p, AllocCell::into_series).0
+        })[cell]
             .clone()
     };
 
@@ -1213,7 +1151,7 @@ pub fn alloc_sweep_with(
             if batched {
                 series_for(mi, fi * allocs.len() + ai)
             } else {
-                let mut m = crate::warm::warmed_multicore(mix, p, cores, penalty);
+                let mut m = warmed_multicore(mix, p, cores, penalty);
                 adts_core::run_alloc(f, a, &mut m, p.quanta, p.quantum_cycles)
             }
         });

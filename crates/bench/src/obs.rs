@@ -100,10 +100,21 @@ fn write_artifacts(
     Ok(art)
 }
 
-fn log_pass(point: &str, series: &RunSeries, art: &ObsArtifacts, opts: &ObsOptions, wall_ms: f64) {
+/// Append one pass's telemetry record: `kind` is `"observed"` for a
+/// single-core pass and `"observed_mc"` for a multi-core one; `events` is
+/// (recorded, retained), summed over cores.
+fn log_pass(
+    kind: &str,
+    point: &str,
+    series: &RunSeries,
+    events: (u64, u64),
+    opts: &ObsOptions,
+    t0: Instant,
+) {
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mut rec = sweep::TelemetryRecord::from_series(
         "obs",
-        "observed",
+        kind,
         point,
         "-".into(),
         sweep::CacheOutcome::Bypass,
@@ -111,8 +122,8 @@ fn log_pass(point: &str, series: &RunSeries, art: &ObsArtifacts, opts: &ObsOptio
         series,
     );
     rec.obs = Some(sweep::ObsSummary {
-        events_recorded: art.events_recorded,
-        events_retained: art.events_retained,
+        events_recorded: events.0,
+        events_retained: events.1,
         out_dir: opts.out_dir.display().to_string(),
     });
     sweep::engine().append_telemetry(&rec, wall_ms);
@@ -144,11 +155,12 @@ pub fn observe_fixed(
     register_series_metrics(&mut reg, &series);
     let art = write_artifacts(&mut machine, &reg, &opts.out_dir, &slug(mix, policy.name()))?;
     log_pass(
+        "observed",
         &format!("{}/{}", mix.name, policy.name()),
         &series,
-        &art,
+        (art.events_recorded, art.events_retained),
         opts,
-        t0.elapsed().as_secs_f64() * 1e3,
+        t0,
     );
     Ok(art)
 }
@@ -175,11 +187,12 @@ pub fn observe_adaptive(
     register_series_metrics(&mut reg, &series);
     let art = write_artifacts(&mut machine, &reg, &opts.out_dir, &slug(mix, "adts"))?;
     log_pass(
+        "observed",
         &format!("{}/adts", mix.name),
         &series,
-        &art,
+        (art.events_recorded, art.events_retained),
         opts,
-        t0.elapsed().as_secs_f64() * 1e3,
+        t0,
     );
     Ok(art)
 }
@@ -270,22 +283,14 @@ pub fn observe_alloc(
     )?;
     std::fs::write(&art.prom_path, export::prometheus(&reg))?;
 
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut rec = sweep::TelemetryRecord::from_series(
-        "obs",
+    log_pass(
         "observed_mc",
         &format!("{}/{}+{}x{cores}", mix.name, fetch.name(), alloc.name()),
-        "-".into(),
-        sweep::CacheOutcome::Bypass,
-        wall_ms,
         &series,
+        (art.events_recorded, art.events_retained),
+        opts,
+        t0,
     );
-    rec.obs = Some(sweep::ObsSummary {
-        events_recorded: art.events_recorded,
-        events_retained: art.events_retained,
-        out_dir: opts.out_dir.display().to_string(),
-    });
-    sweep::engine().append_telemetry(&rec, wall_ms);
     Ok(art)
 }
 

@@ -1,15 +1,19 @@
 //! Persistent content-addressed checkpoint store.
 //!
-//! Stores warm [`MachineSnapshot`]s beside the result cache (by default
+//! Stores warm machine states beside the result cache (by default
 //! `results/cache/ckpt/`), one binary container per key as
-//! `<32-hex-digit-key>.ckpt`. Keys use the same 128-bit FNV-1a discipline
-//! as [`super::cache`] ([`super::point_key`] with kind `"warm"`), so a
-//! checkpoint is invalidated by exactly the same changes that invalidate a
-//! cached result: mix content, warmup parameters, machine seed,
-//! [`smt_sim::SimConfig`], or a [`super::CODE_SALT`] bump. The container
-//! itself is additionally versioned and checksummed
-//! ([`smt_sim::snapshot::FORMAT_VERSION`]), so stale or torn files decode
-//! to an error and are removed, never misinterpreted.
+//! `<32-hex-digit-key>.ckpt`: a [`MachineSnapshot`] for a single-core
+//! machine, a [`MultiCoreSnapshot`] for a multi-core one (both are
+//! [`Checkpoint`]s). Keys use the same 128-bit FNV-1a discipline as
+//! [`super::cache`] ([`super::point_key`] with kind `"warm"` or
+//! `"warm-mc"`), so a checkpoint is invalidated by exactly the same
+//! changes that invalidate a cached result: mix content, warmup
+//! parameters, machine seed, [`smt_sim::SimConfig`], core count and
+//! migration penalty, or a [`super::CODE_SALT`] bump. Each container is
+//! additionally magic-tagged, versioned and checksummed
+//! ([`smt_sim::snapshot::FORMAT_VERSION`],
+//! [`smt_sim::MC_FORMAT_VERSION`]), so stale, torn or wrong-kind files
+//! decode to an error and are removed, never misinterpreted.
 //!
 //! Writes mirror the result cache: unique temp file + atomic rename, so
 //! concurrent workers (or processes) racing on the same key can never
@@ -18,9 +22,57 @@
 //! a warm run actually hit the store.
 
 use crate::sweep::{span, CacheKey};
+use smt_isa::codec::CodecError;
 use smt_sim::snapshot::MachineSnapshot;
+use smt_sim::{LockstepMachine, MultiCoreMachine, MultiCoreSnapshot, SmtMachine};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A snapshot container of one machine kind: what the warm pool
+/// memoizes and the store persists. Capture strips instrumentation;
+/// restore yields a machine that simulates bit-identically to the
+/// captured one.
+pub trait Checkpoint: Sized + Send + Sync + 'static {
+    type Machine: LockstepMachine;
+    fn capture(machine: &Self::Machine) -> Self;
+    fn restore(&self) -> Self::Machine;
+    fn to_bytes(&self) -> Vec<u8>;
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError>;
+}
+
+impl Checkpoint for MachineSnapshot {
+    type Machine = SmtMachine;
+    fn capture(machine: &SmtMachine) -> Self {
+        MachineSnapshot::capture(machine)
+    }
+    fn restore(&self) -> SmtMachine {
+        MachineSnapshot::restore(self)
+    }
+    fn to_bytes(&self) -> Vec<u8> {
+        MachineSnapshot::to_bytes(self)
+    }
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        MachineSnapshot::from_bytes(bytes)
+    }
+}
+
+/// Warm multi-core state carries no allocator state: warmup runs a
+/// fixed placement.
+impl Checkpoint for MultiCoreSnapshot {
+    type Machine = MultiCoreMachine;
+    fn capture(machine: &MultiCoreMachine) -> Self {
+        MultiCoreSnapshot::capture(machine, Vec::new())
+    }
+    fn restore(&self) -> MultiCoreMachine {
+        MultiCoreSnapshot::restore(self)
+    }
+    fn to_bytes(&self) -> Vec<u8> {
+        MultiCoreSnapshot::to_bytes(self)
+    }
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        MultiCoreSnapshot::from_bytes(bytes)
+    }
+}
 
 /// On-disk store of warm machine snapshots.
 pub struct CkptStore {
@@ -73,7 +125,7 @@ impl CkptStore {
     /// means an entry existed but was corrupt, truncated or written by a
     /// different format version — it is removed so the next store can
     /// replace it, and the caller falls back to a cold warmup.
-    pub fn load(&self, key: CacheKey) -> Result<Option<MachineSnapshot>, String> {
+    pub fn load<S: Checkpoint>(&self, key: CacheKey) -> Result<Option<S>, String> {
         let _sp = span::spans().begin("ckpt-load", "ckpt");
         let path = self.entry_path(key);
         let bytes = match std::fs::read(&path) {
@@ -85,7 +137,7 @@ impl CkptStore {
                 return Ok(None);
             }
         };
-        match MachineSnapshot::from_bytes(&bytes) {
+        match S::from_bytes(&bytes) {
             Ok(snap) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 span::spans().bump("ckpt_hits", 1);
@@ -105,7 +157,7 @@ impl CkptStore {
     /// Store `snapshot` under `key` via temp-file + atomic rename. Storage
     /// failures are non-fatal: the caller already holds the warm state in
     /// memory.
-    pub fn store(&self, key: CacheKey, snapshot: &MachineSnapshot) {
+    pub fn store<S: Checkpoint>(&self, key: CacheKey, snapshot: &S) {
         let _sp = span::spans().begin("ckpt-store", "ckpt");
         span::spans().bump("ckpt_stores", 1);
         let bytes = snapshot.to_bytes();
@@ -182,10 +234,13 @@ mod tests {
         let dir = tmp_dir("rt");
         let store = CkptStore::new(&dir).unwrap();
         let key = point_key("warm", &"mix", &1u32, &"cfg");
-        assert!(store.load(key).unwrap().is_none());
+        assert!(store.load::<MachineSnapshot>(key).unwrap().is_none());
         let snap = snapshot(7);
         store.store(key, &snap);
-        let back = store.load(key).unwrap().expect("entry must exist");
+        let back = store
+            .load::<MachineSnapshot>(key)
+            .unwrap()
+            .expect("entry must exist");
         assert_eq!(back.cycle(), snap.cycle());
         assert_eq!(back.to_bytes(), snap.to_bytes());
         assert_eq!(
@@ -206,10 +261,10 @@ mod tests {
         let store = CkptStore::new(&dir).unwrap();
         let key = point_key("warm", &"mix", &2u32, &"cfg");
         std::fs::write(dir.join(format!("{}.ckpt", key.hex())), b"not a ckpt").unwrap();
-        assert!(store.load(key).is_err());
+        assert!(store.load::<MachineSnapshot>(key).is_err());
         assert!(!dir.join(format!("{}.ckpt", key.hex())).exists());
         // After removal the key is a plain miss again.
-        assert!(store.load(key).unwrap().is_none());
+        assert!(store.load::<MachineSnapshot>(key).unwrap().is_none());
         assert_eq!(store.stats().errors, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -225,7 +280,7 @@ mod tests {
             &bytes[..bytes.len() / 2],
         )
         .unwrap();
-        assert!(store.load(key).is_err());
+        assert!(store.load::<MachineSnapshot>(key).is_err());
         assert!(!dir.join(format!("{}.ckpt", key.hex())).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -238,7 +293,7 @@ mod tests {
         let mut bytes = snapshot(13).to_bytes();
         bytes[8] = smt_sim::snapshot::FORMAT_VERSION as u8 + 1;
         std::fs::write(dir.join(format!("{}.ckpt", key.hex())), &bytes).unwrap();
-        assert!(store.load(key).is_err());
+        assert!(store.load::<MachineSnapshot>(key).is_err());
         assert!(!dir.join(format!("{}.ckpt", key.hex())).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -249,7 +304,7 @@ mod tests {
         let store = CkptStore::new(&dir).unwrap();
         let key = point_key("warm", &"mix", &5u32, &"cfg");
         store.store(key, &snapshot(17));
-        let _ = store.load(key).unwrap();
+        let _ = store.load::<MachineSnapshot>(key).unwrap();
         let text = std::fs::read_to_string(dir.join("stats.json")).unwrap();
         assert_eq!(
             text.trim(),

@@ -1,7 +1,7 @@
 //! Panic-isolating parallel sweep executor.
 //!
-//! Work-stealing over an atomic index, as the old `par_map` did, with
-//! three hardenings the sweep engine needs:
+//! Work-stealing over an atomic index, with three hardenings the sweep
+//! engine needs:
 //!
 //! - **per-item panic capture**: each simulation point runs under
 //!   `catch_unwind`, so one poisoned point yields a [`PointError`] for
@@ -115,9 +115,44 @@ where
         .collect()
 }
 
+/// [`run_isolated`] with the process-wide engine's worker count
+/// (`--jobs` / `SMT_BENCH_JOBS`), for sweeps that need every point: a
+/// panicking item aborts the whole map with a message naming every
+/// failed point. Result order matches input order.
+pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let results = run_isolated(&items, super::engine().jobs(), f);
+    let failures: Vec<String> = results
+        .iter()
+        .filter_map(|r| r.as_ref().err().map(PointError::to_string))
+        .collect();
+    if !failures.is_empty() {
+        panic!(
+            "{} of {} sweep points failed: {}",
+            failures.len(),
+            items.len(),
+            failures.join("; ")
+        );
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("failures were checked above"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_preserves_order() {
+        let out = par_map((0..100).collect(), |&x: &i32| x * 2);
+        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
 
     #[test]
     fn preserves_order_across_worker_counts() {

@@ -21,14 +21,15 @@
 
 use crate::attr::{explain_warmed, AttrOptions};
 use crate::cli::TraceCli;
-use crate::exp::sweep_point_cells;
+use crate::exp::{run_batch, sweep_point_cells};
 use crate::params::ExpParams;
-use adts_core::{machine_for_mix_with, run_fixed, run_fixed_sampled, HeuristicKind};
+use crate::warm::warm_up;
+use adts_core::{machine_for_mix_with, run_fixed, run_fixed_sampled, HeuristicKind, PointCell};
 use smt_isa::codec::CodecError;
 use smt_isa::tracefile::{TraceFile, TraceWriter};
 use smt_isa::Tid;
 use smt_policies::FetchPolicy;
-use smt_sim::{MachineBatch, SimConfig, SmtMachine};
+use smt_sim::{SimConfig, SmtMachine};
 use smt_stats::Table;
 use smt_workloads::{streams_from_trace, Mix};
 use std::path::Path;
@@ -108,14 +109,7 @@ pub fn trace_machine(file: &TraceFile) -> Result<SmtMachine, CodecError> {
 /// harness warms synthetic machines: `p.warmup_quanta` quanta of fixed
 /// ICOUNT excluded from measurement.
 pub fn warmed_trace_machine(file: &TraceFile, p: &ExpParams) -> Result<SmtMachine, CodecError> {
-    let mut m = trace_machine(file)?;
-    run_fixed(
-        FetchPolicy::Icount,
-        &mut m,
-        p.warmup_quanta,
-        p.quantum_cycles,
-    );
-    Ok(m)
+    Ok(warm_up(trace_machine(file)?, p))
 }
 
 /// Results of the trace-backed threshold × heuristic sweep: the same 26
@@ -140,16 +134,7 @@ pub fn trace_threshold_type_sweep(
     let kinds = HeuristicKind::ALL.to_vec();
     let machine = warmed_trace_machine(file, p)?;
     let cells = sweep_point_cells(machine.n_threads(), &thresholds, &kinds, p);
-    let mut batch = MachineBatch::new(machine, cells);
-    for q in 0..p.quanta {
-        let forks = batch.run_quantum();
-        crate::sweep::span::note_batch_forks(q, &forks);
-    }
-    let series: Vec<_> = batch
-        .into_cells()
-        .into_iter()
-        .map(adts_core::PointCell::into_series)
-        .collect();
+    let (series, _) = run_batch(machine, cells, p, PointCell::into_series);
     let icount = series[0].aggregate_ipc();
     let ipc = (0..thresholds.len())
         .map(|ti| {
@@ -263,7 +248,6 @@ fn slugify(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adts_core::run_fixed_observed;
     use smt_sim::CounterSnapshot;
     use smt_workloads::mix;
 
@@ -296,12 +280,16 @@ mod tests {
             }
             let mut deltas_a: Vec<CounterSnapshot> = Vec::new();
             let mut deltas_b: Vec<CounterSnapshot> = Vec::new();
-            run_fixed_observed(policy, &mut synth, p.quanta, p.quantum_cycles, |_, d| {
+            run_fixed_sampled(policy, &mut synth, p.quanta, p.quantum_cycles, |_, _, d| {
                 deltas_a.push(d.clone())
             });
-            run_fixed_observed(policy, &mut replay, p.quanta, p.quantum_cycles, |_, d| {
-                deltas_b.push(d.clone())
-            });
+            run_fixed_sampled(
+                policy,
+                &mut replay,
+                p.quanta,
+                p.quantum_cycles,
+                |_, _, d| deltas_b.push(d.clone()),
+            );
             assert_eq!(deltas_a, deltas_b, "policy {}", policy.name());
         }
     }

@@ -8,10 +8,12 @@
 //! `(mix, SimConfig, seed, warmup_quanta, quantum_cycles)`.
 //!
 //! [`warmed_machine`] now performs the warmup **exactly once** per such
-//! point, captures a [`MachineSnapshot`], and hands every subsequent
-//! caller a restored copy — bit-identical to a machine that was warmed
-//! from scratch, so every downstream counter, golden fixture and exported
-//! artifact is unchanged. Three layers, consulted in order:
+//! point, captures a snapshot, and hands every subsequent caller a
+//! restored copy — bit-identical to a machine that was warmed from
+//! scratch, so every downstream counter, golden fixture and exported
+//! artifact is unchanged. Single-core ([`warmed_machine`]) and multi-core
+//! ([`warmed_multicore`]) machines take the same path, each with its own
+//! [`Checkpoint`] container. Three layers, consulted in order:
 //!
 //! 1. an in-memory **pool** (`HashMap<key, snapshot>` behind per-key
 //!    slots, so work-stealing sweep workers racing on one key block on
@@ -21,9 +23,11 @@
 //!    falls back to a cold warmup with a telemetry note, never a panic;
 //! 3. a cold warmup, whose snapshot is then published to both layers.
 //!
-//! Keys use [`sweep::point_key`] with kind `"warm"` over the full mix
-//! content, the warmup-relevant [`ExpParams`] fields, and the complete
-//! [`SimConfig`] — two seeds or configs can never alias.
+//! Keys use [`sweep::point_key`] with kind `"warm"` ([`warm_key`]) or
+//! `"warm-mc"` ([`mc_warm_key`], adding core count and migration
+//! penalty) over the full mix content, the warmup-relevant [`ExpParams`]
+//! fields, and the complete [`SimConfig`] — two seeds, configs or
+//! machine kinds can never alias.
 //!
 //! The experiment harness goes through the process-wide [`pool`]; the
 //! free functions ([`warmed_machine`], [`set_enabled`],
@@ -31,13 +35,14 @@
 //! [`WarmPool`]s so their counter assertions never race.
 
 use crate::params::ExpParams;
-use crate::sweep::{self, CkptStore};
-use adts_core::{machine_for_mix_with, multicore_for_mix, run_fixed, run_fixed_multicore};
+use crate::sweep::{self, Checkpoint, CkptStore};
+use adts_core::{machine_for_mix_with, multicore_for_mix, run_fixed};
 use smt_policies::FetchPolicy;
 use smt_sim::snapshot::MachineSnapshot;
-use smt_sim::{MultiCoreMachine, MultiCoreSnapshot, SimConfig, SmtMachine};
+use smt_sim::{LockstepMachine, MultiCoreMachine, MultiCoreSnapshot, SimConfig, SmtMachine};
 use smt_stats::RunSeries;
 use smt_workloads::Mix;
+use std::any::Any;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,13 +63,11 @@ pub struct WarmStats {
     pub errors: u64,
 }
 
-/// One key's lazily-filled snapshot cell. Workers racing on the same key
-/// serialize on the cell's lock, so the warmup runs exactly once.
-type WarmSlot = Arc<Mutex<Option<Arc<MachineSnapshot>>>>;
-
-/// The multi-core counterpart: one warmed [`MultiCoreSnapshot`] per
-/// (mix, cores, penalty) key.
-type McWarmSlot = Arc<Mutex<Option<Arc<MultiCoreSnapshot>>>>;
+/// One key's lazily-filled snapshot cell, holding the [`Checkpoint`] of
+/// whichever machine kind the key names (the key kinds keep the two
+/// apart). Workers racing on the same key serialize on the cell's lock,
+/// so the warmup runs exactly once.
+type WarmSlot = Arc<Mutex<Option<Arc<dyn Any + Send + Sync>>>>;
 
 /// A memoizing warmup cache: in-memory snapshots, optionally backed by an
 /// on-disk [`CkptStore`]. Safe to share across sweep workers.
@@ -74,10 +77,6 @@ pub struct WarmPool {
     /// slot; the warmup itself runs under the slot's own lock, so two
     /// workers racing on one key serialize while other keys proceed.
     slots: Mutex<HashMap<u128, WarmSlot>>,
-    /// Multi-core warm snapshots. In-memory only: the on-disk store
-    /// speaks single-machine snapshots, and a multi-core warmup is one
-    /// `run_fixed_multicore` away from its (pooled) ingredients.
-    mc_slots: Mutex<HashMap<u128, McWarmSlot>>,
     store: Mutex<Option<Arc<CkptStore>>>,
     disabled: AtomicBool,
     pool_hits: AtomicU64,
@@ -143,7 +142,6 @@ impl WarmPool {
     /// stats) is left attached.
     pub fn reset(&self) {
         self.slots.lock().expect("warm pool poisoned").clear();
-        self.mc_slots.lock().expect("warm pool poisoned").clear();
         for c in [
             &self.pool_hits,
             &self.ckpt_hits,
@@ -159,11 +157,40 @@ impl WarmPool {
     /// warmed them — fresh construction with `cfg` plus `warmup_quanta`
     /// quanta of fixed ICOUNT — memoized through this pool.
     pub fn warmed_machine_with(&self, cfg: SimConfig, mix: &Mix, p: &ExpParams) -> SmtMachine {
+        let key = warm_key(&cfg, mix, p);
+        self.warmed::<MachineSnapshot>(key, mix, p, || machine_for_mix_with(cfg, mix, p.seed))
+    }
+
+    /// A warmed [`MultiCoreMachine`] for the allocation sweeps: fresh
+    /// [`multicore_for_mix`] construction plus `warmup_quanta` quanta of
+    /// fixed ICOUNT on every core in lockstep, memoized like
+    /// [`Self::warmed_machine_with`] under [`mc_warm_key`].
+    pub fn warmed_multicore(
+        &self,
+        mix: &Mix,
+        p: &ExpParams,
+        n_cores: usize,
+        penalty: u64,
+    ) -> MultiCoreMachine {
+        let key = mc_warm_key(mix, p, n_cores, penalty);
+        self.warmed::<MultiCoreSnapshot>(key, mix, p, || {
+            multicore_for_mix(mix, p.seed, n_cores, penalty)
+        })
+    }
+
+    /// The one memoizing path (module docs): the pool, then the store,
+    /// then a cold warmup of `build()` published to both.
+    fn warmed<S: Checkpoint>(
+        &self,
+        key: sweep::CacheKey,
+        mix: &Mix,
+        p: &ExpParams,
+        build: impl FnOnce() -> S::Machine,
+    ) -> S::Machine {
         if self.disabled.load(Ordering::Relaxed) {
             self.bypass.fetch_add(1, Ordering::Relaxed);
-            return cold_warmup(cfg, mix, p);
+            return warm_up(build(), p);
         }
-        let key = warm_key(&cfg, mix, p);
         let slot = {
             let mut slots = self.slots.lock().expect("warm pool poisoned");
             slots.entry(key.0).or_default().clone()
@@ -172,17 +199,20 @@ impl WarmPool {
         if let Some(snap) = guard.as_ref() {
             self.pool_hits.fetch_add(1, Ordering::Relaxed);
             sweep::spans().bump("warm_pool_hits", 1);
-            return snap.restore();
+            return snap
+                .downcast_ref::<S>()
+                .expect("a warm key names one machine kind")
+                .restore();
         }
         let store = self.store.lock().expect("warm store poisoned").clone();
         if let Some(store) = &store {
-            match store.load(key) {
+            match store.load::<S>(key) {
                 Ok(Some(snap)) => {
                     self.ckpt_hits.fetch_add(1, Ordering::Relaxed);
                     sweep::spans().bump("warm_ckpt_hits", 1);
-                    let snap = Arc::new(snap);
-                    *guard = Some(Arc::clone(&snap));
-                    return snap.restore();
+                    let m = snap.restore();
+                    *guard = Some(Arc::new(snap));
+                    return m;
                 }
                 Ok(None) => {}
                 Err(why) => {
@@ -199,53 +229,13 @@ impl WarmPool {
             let _sp = sp
                 .enabled()
                 .then(|| sp.begin(&format!("warmup:{}", mix.name), "warm"));
-            cold_warmup(cfg, mix, p)
+            warm_up(build(), p)
         };
-        let snap = Arc::new(MachineSnapshot::capture(&m));
+        let snap = S::capture(&m);
         if let Some(store) = &store {
             store.store(key, &snap);
         }
-        *guard = Some(snap);
-        m
-    }
-
-    /// A warmed [`MultiCoreMachine`] for the allocation sweeps: fresh
-    /// [`multicore_for_mix`] construction plus `warmup_quanta` quanta of
-    /// fixed ICOUNT on every core in lockstep, memoized per
-    /// (mix, config, seed, warmup, cores, penalty) key. In-memory only —
-    /// see `WarmPool::mc_slots`.
-    pub fn warmed_multicore(
-        &self,
-        mix: &Mix,
-        p: &ExpParams,
-        n_cores: usize,
-        penalty: u64,
-    ) -> MultiCoreMachine {
-        if self.disabled.load(Ordering::Relaxed) {
-            self.bypass.fetch_add(1, Ordering::Relaxed);
-            return cold_multicore_warmup(mix, p, n_cores, penalty);
-        }
-        let key = mc_warm_key(mix, p, n_cores, penalty);
-        let slot = {
-            let mut slots = self.mc_slots.lock().expect("warm pool poisoned");
-            slots.entry(key.0).or_default().clone()
-        };
-        let mut guard = slot.lock().expect("warm slot poisoned");
-        if let Some(snap) = guard.as_ref() {
-            self.pool_hits.fetch_add(1, Ordering::Relaxed);
-            sweep::spans().bump("warm_pool_hits", 1);
-            return snap.restore();
-        }
-        self.warmups.fetch_add(1, Ordering::Relaxed);
-        sweep::spans().bump("warm_warmups", 1);
-        let m = {
-            let sp = sweep::spans();
-            let _sp = sp
-                .enabled()
-                .then(|| sp.begin(&format!("warmup-mc:{}", mix.name), "warm"));
-            cold_multicore_warmup(mix, p, n_cores, penalty)
-        };
-        *guard = Some(Arc::new(MultiCoreSnapshot::capture(&m, Vec::new())));
+        *guard = Some(Arc::new(snap));
         m
     }
 }
@@ -331,24 +321,9 @@ pub fn mc_warm_key(mix: &Mix, p: &ExpParams, n_cores: usize, penalty: u64) -> sw
     )
 }
 
-fn cold_multicore_warmup(
-    mix: &Mix,
-    p: &ExpParams,
-    n_cores: usize,
-    penalty: u64,
-) -> MultiCoreMachine {
-    let mut m = multicore_for_mix(mix, p.seed, n_cores, penalty);
-    let _ = run_fixed_multicore(
-        FetchPolicy::Icount,
-        &mut m,
-        p.warmup_quanta,
-        p.quantum_cycles,
-    );
-    m
-}
-
-fn cold_warmup(cfg: SimConfig, mix: &Mix, p: &ExpParams) -> SmtMachine {
-    let mut m = machine_for_mix_with(cfg, mix, p.seed);
+/// The warmup itself: `warmup_quanta` quanta of fixed ICOUNT on every
+/// core of a freshly built machine.
+pub(crate) fn warm_up<M: LockstepMachine>(mut m: M, p: &ExpParams) -> M {
     let _ = run_fixed(
         FetchPolicy::Icount,
         &mut m,
@@ -385,6 +360,7 @@ fn note_fallback(mix: &Mix, key: sweep::CacheKey, why: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_sim::CounterSnapshot;
 
     fn tiny_params(seed: u64) -> ExpParams {
         ExpParams {
@@ -403,20 +379,83 @@ mod tests {
         d
     }
 
+    /// The two machine kinds every pool path is tested over: a 2-thread
+    /// `SmtMachine` and a 2-core `MultiCoreMachine`.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Single,
+        Multi,
+    }
+
+    const KINDS: [Kind; 2] = [Kind::Single, Kind::Multi];
+
+    /// What the tests compare of a warmed machine: its cycle, committed
+    /// total, counters, and layout (global counters of a single core, the
+    /// thread placement of a multi-core machine).
+    #[derive(Debug, PartialEq)]
+    struct Warmed {
+        cycle: u64,
+        committed: u64,
+        counters: CounterSnapshot,
+        layout: String,
+    }
+
+    impl Kind {
+        fn mix(self) -> Mix {
+            smt_workloads::mix(1).take_threads(2, 1)
+        }
+
+        fn key(self, p: &ExpParams) -> sweep::CacheKey {
+            match self {
+                Kind::Single => warm_key(&SimConfig::with_threads(2), &self.mix(), p),
+                Kind::Multi => mc_warm_key(&self.mix(), p, 2, 64),
+            }
+        }
+
+        fn pooled(self, pool: &WarmPool, p: &ExpParams) -> Warmed {
+            match self {
+                Kind::Single => {
+                    let m = pool.warmed_machine_with(SimConfig::with_threads(2), &self.mix(), p);
+                    Warmed {
+                        cycle: m.cycle(),
+                        committed: m.total_committed(),
+                        counters: m.counter_snapshot(),
+                        layout: format!("{:?}", m.global()),
+                    }
+                }
+                Kind::Multi => {
+                    let m = pool.warmed_multicore(&self.mix(), p, 2, 64);
+                    Warmed {
+                        cycle: m.cycle(),
+                        committed: m.total_committed(),
+                        counters: m.counter_snapshot(),
+                        layout: format!("{:?}", m.placement()),
+                    }
+                }
+            }
+        }
+
+        /// The same warmup through a disabled pool: always cold.
+        fn cold(self, p: &ExpParams) -> Warmed {
+            let pool = WarmPool::new();
+            pool.set_enabled(false);
+            self.pooled(&pool, p)
+        }
+    }
+
     #[test]
     fn pooled_restore_is_bit_identical_to_cold_warmup() {
-        let pool = WarmPool::new();
-        let mix = smt_workloads::mix(1).take_threads(2, 1);
-        let p = tiny_params(42);
-        let cfg = SimConfig::with_threads(2);
-        let cold = cold_warmup(cfg.clone(), &mix, &p);
-        let first = pool.warmed_machine_with(cfg.clone(), &mix, &p);
-        let second = pool.warmed_machine_with(cfg, &mix, &p);
-        for m in [&first, &second] {
-            assert_eq!(m.cycle(), cold.cycle());
-            assert_eq!(m.total_committed(), cold.total_committed());
-            assert_eq!(m.global(), cold.global());
-            assert_eq!(m.counter_snapshot(), cold.counter_snapshot());
+        for kind in KINDS {
+            let pool = WarmPool::new();
+            let p = tiny_params(42);
+            let cold = kind.cold(&p);
+            let first = kind.pooled(&pool, &p);
+            let second = kind.pooled(&pool, &p);
+            assert_eq!(first, cold, "{kind:?}");
+            assert_eq!(second, cold, "{kind:?}");
+            let s = pool.stats();
+            assert_eq!(s.warmups, 1, "{kind:?} {s:?}");
+            assert_eq!(s.pool_hits, 1, "{kind:?} {s:?}");
         }
     }
 
@@ -492,24 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_multicore_restore_is_bit_identical_to_cold_warmup() {
-        let pool = WarmPool::new();
-        let mix = smt_workloads::mix(1).take_threads(2, 1);
-        let p = tiny_params(42);
-        let cold = cold_multicore_warmup(&mix, &p, 2, 64);
-        let first = pool.warmed_multicore(&mix, &p, 2, 64);
-        let second = pool.warmed_multicore(&mix, &p, 2, 64);
-        for m in [&first, &second] {
-            assert_eq!(m.cycle(), cold.cycle());
-            assert_eq!(m.counter_snapshot(), cold.counter_snapshot());
-            assert_eq!(m.placement(), cold.placement());
-        }
-        let s = pool.stats();
-        assert_eq!(s.warmups, 1, "{s:?}");
-        assert_eq!(s.pool_hits, 1, "{s:?}");
-    }
-
-    #[test]
     fn multicore_keys_fold_in_cores_and_penalty() {
         let mix = smt_workloads::mix(1).take_threads(2, 1);
         let p = tiny_params(42);
@@ -548,44 +569,47 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_falls_back_to_cold_warmup() {
-        let dir = tmp_dir("fallback");
-        let mix = smt_workloads::mix(1).take_threads(2, 1);
-        let p = tiny_params(42);
-        let cfg = SimConfig::with_threads(2);
-        let key = warm_key(&cfg, &mix, &p);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{}.ckpt", key.hex())), b"garbage").unwrap();
-        let pool = WarmPool::new();
-        pool.configure_store(Some(dir.clone()));
-        let m = pool.warmed_machine_with(cfg.clone(), &mix, &p);
-        let s = pool.stats();
-        assert_eq!(s.errors, 1, "{s:?}");
-        assert_eq!(s.warmups, 1, "{s:?}");
-        let cold = cold_warmup(cfg, &mix, &p);
-        assert_eq!(m.counter_snapshot(), cold.counter_snapshot());
-        // The fresh warmup replaced the corrupt file with a valid one.
-        let replaced = CkptStore::new(&dir).unwrap();
-        assert!(replaced.load(key).unwrap().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let dir = tmp_dir(&format!("fallback-{kind:?}"));
+            let p = tiny_params(42);
+            let key = kind.key(&p);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(format!("{}.ckpt", key.hex())), b"garbage").unwrap();
+            let pool = WarmPool::new();
+            pool.configure_store(Some(dir.clone()));
+            let m = kind.pooled(&pool, &p);
+            let s = pool.stats();
+            assert_eq!(s.errors, 1, "{kind:?} {s:?}");
+            assert_eq!(s.warmups, 1, "{kind:?} {s:?}");
+            assert_eq!(m, kind.cold(&p), "{kind:?}");
+            // The fresh warmup replaced the corrupt file with a valid one.
+            let replaced = CkptStore::new(&dir).unwrap();
+            let valid = match kind {
+                Kind::Single => replaced.load::<MachineSnapshot>(key).unwrap().is_some(),
+                Kind::Multi => replaced.load::<MultiCoreSnapshot>(key).unwrap().is_some(),
+            };
+            assert!(valid, "{kind:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn checkpoint_store_round_trips_across_pool_resets() {
-        let dir = tmp_dir("store");
-        let mix = smt_workloads::mix(1).take_threads(2, 1);
-        let p = tiny_params(42);
-        let pool = WarmPool::new();
-        pool.configure_store(Some(dir.clone()));
-        let a = pool.warmed_machine_with(SimConfig::with_threads(2), &mix, &p);
-        // Simulate a new process: empty pool, same store.
-        pool.reset();
-        let b = pool.warmed_machine_with(SimConfig::with_threads(2), &mix, &p);
-        let s = pool.stats();
-        assert_eq!(s.ckpt_hits, 1, "{s:?}");
-        assert_eq!(s.warmups, 0, "{s:?}");
-        assert_eq!(a.counter_snapshot(), b.counter_snapshot());
-        assert_eq!(a.global(), b.global());
-        assert_eq!(pool.store_stats().unwrap().stores, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let dir = tmp_dir(&format!("store-{kind:?}"));
+            let p = tiny_params(42);
+            let pool = WarmPool::new();
+            pool.configure_store(Some(dir.clone()));
+            let a = kind.pooled(&pool, &p);
+            // Simulate a new process: empty pool, same store.
+            pool.reset();
+            let b = kind.pooled(&pool, &p);
+            let s = pool.stats();
+            assert_eq!(s.ckpt_hits, 1, "{kind:?} {s:?}");
+            assert_eq!(s.warmups, 0, "{kind:?} {s:?}");
+            assert_eq!(a, b, "{kind:?}");
+            assert_eq!(pool.store_stats().unwrap().stores, 1, "{kind:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

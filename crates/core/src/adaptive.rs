@@ -20,13 +20,13 @@
 use crate::audit::{DecisionReason, DecisionRecord};
 use crate::detector::DtModel;
 use crate::heuristics::{CondThresholds, Heuristic, HeuristicKind};
-use crate::indicators::{MachineSnapshot, QuantumStats};
+use crate::indicators::{quantum_record, MachineSnapshot, QuantumStats};
 use crate::threshold::{ThresholdMode, ThresholdTracker};
 use serde::{Deserialize, Serialize};
 use smt_isa::Tid;
 use smt_policies::{FetchPolicy, Tsu};
-use smt_sim::{EventRing, SmtMachine};
-use smt_stats::{QuantumRecord, RunSeries, SwitchEvent};
+use smt_sim::{EventRing, LockstepMachine, SmtMachine};
+use smt_stats::{RunSeries, SwitchEvent};
 
 /// Capacity of the per-scheduler decision-audit ring: one record per
 /// quantum, so this covers 4096 quanta (33 M cycles at the default 8 K)
@@ -81,7 +81,7 @@ impl Default for AdtsConfig {
 ///
 /// Produced by [`AdaptiveScheduler::plan_quantum`]; executed (possibly on
 /// a machine shared between many schedulers — see `smt_sim::batch`) by
-/// [`AdaptiveScheduler::execute_plan`]. Two equal plans applied to
+/// [`AdaptiveScheduler::execute_plans`]. Two equal plans applied to
 /// bit-identical machines evolve them identically: the TSU is stateless
 /// beyond its policy, so the plan's policy/switch schedule is the entire
 /// scheduler-side input to the quantum.
@@ -226,7 +226,7 @@ impl AdaptiveScheduler {
     /// scheduler logic.
     pub fn run_quantum(&mut self, machine: &mut SmtMachine) -> QuantumStats {
         let plan = self.plan_quantum(machine);
-        Self::execute_plan(&plan, machine);
+        Self::execute_plans(std::slice::from_ref(&plan), machine);
         let (stats, boundary) = self.observe_quantum(machine);
         Self::apply_boundary(&boundary, machine);
         stats
@@ -249,24 +249,47 @@ impl AdaptiveScheduler {
         }
     }
 
-    /// Phase 2: step the machine through one quantum under `plan`. Pure
-    /// in the scheduler: depends only on the plan and the machine, so one
-    /// execution can serve every batched cell that produced an equal plan.
-    pub fn execute_plan(plan: &QuantumPlan, machine: &mut SmtMachine) {
-        // The TSU is stateless beyond its policy, so reconstructing it
-        // from the plan is exact.
-        let mut tsu = Tsu::new(plan.from, machine.n_threads());
-        match plan.switch {
-            // Apply the pending switch `delay` cycles into the quantum.
-            Some((delay, to)) => {
-                machine.run(delay.min(plan.quantum_cycles), &mut tsu);
-                tsu.set_policy(to);
-                // Records into the event trace only; a no-op (and no
-                // behavior change) on untraced machines.
-                machine.note_policy_switch(plan.from.id(), to.id());
-                machine.run(plan.quantum_cycles.saturating_sub(delay), &mut tsu);
+    /// Phase 2: step the machine through one quantum under one plan per
+    /// core (a single-core [`SmtMachine`] takes one). Pure in the
+    /// schedulers: depends only on the plans and the machine, so one
+    /// execution can serve every batched cell that produced equal plans.
+    ///
+    /// The quantum is cut at each core's pending-switch delay; at a cut
+    /// the switching cores' TSUs change policy and the switch is noted on
+    /// that core (an event-trace record only — a no-op, and no behavior
+    /// change, on untraced machines). The TSU is stateless beyond its
+    /// policy, so reconstructing it from the plan is exact.
+    pub fn execute_plans<M: LockstepMachine>(plans: &[QuantumPlan], machine: &mut M) {
+        assert_eq!(plans.len(), machine.cores().len(), "one plan per core");
+        let q = plans[0].quantum_cycles;
+        assert!(
+            plans.iter().all(|p| p.quantum_cycles == q),
+            "cores must share the quantum length"
+        );
+        let mut tsus: Vec<Tsu> = plans
+            .iter()
+            .zip(machine.cores())
+            .map(|(p, c)| Tsu::new(p.from, c.n_threads()))
+            .collect();
+        let mut cuts: Vec<u64> = plans
+            .iter()
+            .filter_map(|p| p.switch.map(|(delay, _)| delay.min(q)))
+            .collect();
+        cuts.push(q);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut at = 0u64;
+        for cut in cuts {
+            machine.run_cores(cut - at, &mut tsus);
+            at = cut;
+            for (i, p) in plans.iter().enumerate() {
+                if let Some((delay, to)) = p.switch {
+                    if delay.min(q) == cut {
+                        tsus[i].set_policy(to);
+                        machine.core_mut(i).note_policy_switch(p.from.id(), to.id());
+                    }
+                }
             }
-            None => machine.run(plan.quantum_cycles, &mut tsu),
         }
     }
 
@@ -302,18 +325,11 @@ impl AdaptiveScheduler {
             boundary.fetch_toggles.push((t, true));
         }
 
-        let record = QuantumRecord {
-            index: self.quantum_index,
-            policy: self.tsu.policy.name().to_string(),
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc,
-            l1_miss_rate: stats.l1_miss_rate,
-            lsq_full_rate: stats.lsq_full_rate,
-            mispredict_rate: stats.mispredict_rate,
-            branch_rate: stats.branch_rate,
-            idle_fetch_rate: stats.idle_fetch_rate,
-        };
+        let record = quantum_record(
+            self.quantum_index,
+            self.tsu.policy.name(),
+            std::slice::from_ref(&stats),
+        );
 
         // The detector thread's main check: IPC_last < IPC_thold?
         // (With self-tuning, the threshold excludes the quantum it judges.)
@@ -382,7 +398,7 @@ impl AdaptiveScheduler {
         (stats, boundary)
     }
 
-    /// Phase 4: apply the boundary mutations. Like [`Self::execute_plan`]
+    /// Phase 4: apply the boundary mutations. Like [`Self::execute_plans`]
     /// this depends only on its value argument, so equal boundaries can be
     /// applied once per batched group.
     pub fn apply_boundary(boundary: &BoundaryActions, machine: &mut SmtMachine) {
@@ -390,19 +406,12 @@ impl AdaptiveScheduler {
             machine.set_fetch_enabled(t, enabled);
         }
     }
-
-    /// Run `quanta` scheduling quanta and return the recorded series.
-    pub fn run(mut self, machine: &mut SmtMachine, quanta: u64) -> RunSeries {
-        for _ in 0..quanta {
-            self.run_quantum(machine);
-        }
-        self.series
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_adaptive;
     use smt_isa::AppProfile;
     use smt_workloads::UopStream;
     use std::sync::Arc;
@@ -424,7 +433,7 @@ mod tests {
     #[test]
     fn records_one_record_per_quantum() {
         let mut m = machine(4, 1);
-        let series = AdaptiveScheduler::new(AdtsConfig::default(), 4).run(&mut m, 10);
+        let series = run_adaptive(AdtsConfig::default(), &mut m, 10);
         assert_eq!(series.quanta.len(), 10);
         assert!(series.quanta.iter().all(|q| q.cycles == 8192));
         assert_eq!(m.cycle(), 10 * 8192);
@@ -437,7 +446,7 @@ mod tests {
             ipc_threshold: 8.0,
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 4).run(&mut m, 20);
+        let series = run_adaptive(cfg, &mut m, 20);
         assert!(!series.switches.is_empty(), "m=8 must trigger switches");
         // All but possibly the last switch must have judged outcomes.
         assert!(series.judged_switches() >= series.switches.len() - 1);
@@ -450,7 +459,7 @@ mod tests {
             ipc_threshold: 0.0,
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 4).run(&mut m, 10);
+        let series = run_adaptive(cfg, &mut m, 10);
         assert!(series.switches.is_empty());
         assert!(series.quanta.iter().all(|q| q.policy == "ICOUNT"));
     }
@@ -463,7 +472,7 @@ mod tests {
             heuristic: HeuristicKind::Type1,
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 2).run(&mut m, 12);
+        let series = run_adaptive(cfg, &mut m, 12);
         for s in &series.switches {
             assert!(
                 (s.from == "ICOUNT" && s.to == "BRCOUNT")
@@ -486,12 +495,12 @@ mod tests {
             dt: DtModel::Starved,
             ..Default::default()
         };
-        let s1 = AdaptiveScheduler::new(adaptive_starved, 4).run(&mut a, 10);
+        let s1 = run_adaptive(adaptive_starved, &mut a, 10);
         let fixed = AdtsConfig {
             ipc_threshold: 0.0,
             ..Default::default()
         };
-        let s2 = AdaptiveScheduler::new(fixed, 4).run(&mut b, 10);
+        let s2 = run_adaptive(fixed, &mut b, 10);
         assert!(s1.switches.is_empty());
         assert_eq!(s1.aggregate_ipc(), s2.aggregate_ipc());
     }
@@ -506,7 +515,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 2).run(&mut m, 15);
+        let series = run_adaptive(cfg, &mut m, 15);
         // A 2-thread machine leaves plenty of idle slots: switches happen.
         assert!(!series.switches.is_empty());
     }
@@ -575,10 +584,7 @@ mod tests {
                 self_tuning,
                 ..Default::default()
             };
-            AdaptiveScheduler::new(cfg, 4)
-                .run(&mut m, 20)
-                .switches
-                .len()
+            run_adaptive(cfg, &mut m, 20).switches.len()
         };
         let fixed = run(None);
         let tuned = run(Some(SelfTuning {
@@ -677,9 +683,7 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let run = || {
             let mut m = machine(4, 9);
-            AdaptiveScheduler::new(AdtsConfig::default(), 4)
-                .run(&mut m, 8)
-                .aggregate_ipc()
+            run_adaptive(AdtsConfig::default(), &mut m, 8).aggregate_ipc()
         };
         assert_eq!(run(), run());
     }

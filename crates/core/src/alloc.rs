@@ -28,8 +28,6 @@
 //! [`AllocCell`] (a `LockstepCell<MultiCoreMachine>`), so scalar and
 //! lockstep runs are interchangeable (`proptest_batch_equiv` idiom).
 
-use crate::adaptive::{AdaptiveScheduler, AdtsConfig, QuantumPlan};
-use crate::indicators::{MachineSnapshot, QuantumStats};
 use serde::{Serialize, Value};
 use smt_policies::{FetchPolicy, Tsu};
 use smt_sim::{EventRing, LockstepCell, MultiCoreMachine, SimConfig, SmtMachine};
@@ -402,135 +400,6 @@ pub fn multicore_for_mix(
         })
         .collect();
     MultiCoreMachine::from_cores(cores, placement, migration_penalty)
-}
-
-// ---------------------------------------------------------------------------
-// runners
-// ---------------------------------------------------------------------------
-
-/// Multi-core counterpart of [`run_fixed`](crate::runner::run_fixed):
-/// one fixed fetch policy on every core, fixed placement, `quanta`
-/// quanta of `quantum_cycles`. Per-quantum records aggregate all cores
-/// (committed sums, rates average); for a 1-core machine they equal the
-/// scalar runner's bit-for-bit.
-pub fn run_fixed_multicore(
-    policy: FetchPolicy,
-    machine: &mut MultiCoreMachine,
-    quanta: u64,
-    quantum_cycles: u64,
-) -> RunSeries {
-    let fetch_width = machine.core(0).config().fetch_width;
-    let mut tsus: Vec<Tsu> = (0..machine.n_cores())
-        .map(|i| Tsu::new(policy, machine.core(i).n_threads()))
-        .collect();
-    let mut series = RunSeries::default();
-    for index in 0..quanta {
-        let before: Vec<MachineSnapshot> = (0..machine.n_cores())
-            .map(|i| MachineSnapshot::take(machine.core(i)))
-            .collect();
-        machine.run(quantum_cycles, &mut tsus);
-        let stats: Vec<QuantumStats> = before
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                QuantumStats::between(b, &MachineSnapshot::take(machine.core(i)), fetch_width)
-            })
-            .collect();
-        series
-            .quanta
-            .push(aggregate_record(index, policy.name(), &stats));
-    }
-    series
-}
-
-/// Sum committed, keep the (lockstep-equal) cycle count, average rates.
-fn aggregate_record(index: u64, policy: &str, stats: &[QuantumStats]) -> QuantumRecord {
-    let n = stats.len() as f64;
-    let cycles = stats[0].cycles;
-    let committed: u64 = stats.iter().map(|s| s.committed).sum();
-    QuantumRecord {
-        index,
-        policy: policy.to_string(),
-        cycles,
-        committed,
-        ipc: if cycles == 0 {
-            0.0
-        } else {
-            committed as f64 / cycles as f64
-        },
-        l1_miss_rate: stats.iter().map(|s| s.l1_miss_rate).sum::<f64>() / n,
-        lsq_full_rate: stats.iter().map(|s| s.lsq_full_rate).sum::<f64>() / n,
-        mispredict_rate: stats.iter().map(|s| s.mispredict_rate).sum::<f64>() / n,
-        branch_rate: stats.iter().map(|s| s.branch_rate).sum::<f64>() / n,
-        idle_fetch_rate: stats.iter().map(|s| s.idle_fetch_rate).sum::<f64>() / n,
-    }
-}
-
-/// Execute one quantum of per-core [`QuantumPlan`]s on a multi-core
-/// machine, in lockstep. Reproduces `AdaptiveScheduler::execute_plan`
-/// per core exactly: the quantum is cut at each core's pending-switch
-/// delay; between segments the switching cores' TSUs change policy and
-/// the switch is noted on that core.
-pub fn execute_plans_multicore(machine: &mut MultiCoreMachine, plans: &[QuantumPlan]) {
-    assert_eq!(plans.len(), machine.n_cores(), "one plan per core");
-    let q = plans[0].quantum_cycles;
-    assert!(
-        plans.iter().all(|p| p.quantum_cycles == q),
-        "cores must share the quantum length"
-    );
-    let mut tsus: Vec<Tsu> = plans
-        .iter()
-        .enumerate()
-        .map(|(i, p)| Tsu::new(p.from, machine.core(i).n_threads()))
-        .collect();
-    let mut cuts: Vec<u64> = plans
-        .iter()
-        .filter_map(|p| p.switch.map(|(delay, _)| delay.min(q)))
-        .collect();
-    cuts.push(q);
-    cuts.sort_unstable();
-    cuts.dedup();
-    let mut at = 0u64;
-    for cut in cuts {
-        machine.run(cut - at, &mut tsus);
-        at = cut;
-        for (i, p) in plans.iter().enumerate() {
-            if let Some((delay, to)) = p.switch {
-                if delay.min(q) == cut {
-                    tsus[i].set_policy(to);
-                    machine.core_mut(i).note_policy_switch(p.from.id(), to.id());
-                }
-            }
-        }
-    }
-}
-
-/// Run one [`AdaptiveScheduler`] per core for `quanta` quanta, with the
-/// cores stepping in lockstep through [`execute_plans_multicore`].
-/// Returns the schedulers (recordings inside). For a 1-core machine the
-/// single scheduler's series and audit are bit-identical to a scalar
-/// `run_quantum` loop on the wrapped `SmtMachine`.
-pub fn run_adaptive_multicore(
-    cfg: AdtsConfig,
-    machine: &mut MultiCoreMachine,
-    quanta: u64,
-) -> Vec<AdaptiveScheduler> {
-    let mut scheds: Vec<AdaptiveScheduler> = (0..machine.n_cores())
-        .map(|i| AdaptiveScheduler::new(cfg, machine.core(i).n_threads()))
-        .collect();
-    for _ in 0..quanta {
-        let plans: Vec<QuantumPlan> = scheds
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| s.plan_quantum(machine.core(i)))
-            .collect();
-        execute_plans_multicore(machine, &plans);
-        for (i, s) in scheds.iter_mut().enumerate() {
-            let (_stats, boundary) = s.observe_quantum(machine.core(i));
-            AdaptiveScheduler::apply_boundary(&boundary, machine.core_mut(i));
-        }
-    }
-    scheds
 }
 
 // ---------------------------------------------------------------------------

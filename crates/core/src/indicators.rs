@@ -8,6 +8,7 @@
 
 use smt_isa::Tid;
 use smt_sim::SmtMachine;
+use smt_stats::QuantumRecord;
 
 /// Cumulative counter values at one instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,6 +124,16 @@ impl QuantumStats {
         }
     }
 
+    /// Per-core stats of the quantum each core ran since its snapshot in
+    /// `before` (one snapshot per core, same order as `cores`).
+    pub(crate) fn per_core(before: &[MachineSnapshot], cores: &[SmtMachine]) -> Vec<Self> {
+        before
+            .iter()
+            .zip(cores)
+            .map(|(b, c)| Self::between(b, &MachineSnapshot::take(c), c.config().fetch_width))
+            .collect()
+    }
+
     /// The thread clogging the pipeline, per the paper's §4 description:
     /// the one holding the most pipeline slots (largest instruction count)
     /// while committing the least. We score by icount-per-committed.
@@ -138,6 +149,28 @@ impl QuantumStats {
                 score(a).total_cmp(&score(b))
             })
             .map(|i| Tid(i as u8))
+    }
+}
+
+/// The record of one quantum over every core's stats: committed sums,
+/// the (lockstep-equal) cycle count is kept, rates average. For a single
+/// core the record carries that core's stats bit for bit.
+pub(crate) fn quantum_record(index: u64, policy: &str, per_core: &[QuantumStats]) -> QuantumRecord {
+    let n = per_core.len() as f64;
+    let mean = |rate: fn(&QuantumStats) -> f64| per_core.iter().map(rate).sum::<f64>() / n;
+    let cycles = per_core[0].cycles;
+    let committed: u64 = per_core.iter().map(|s| s.committed).sum();
+    QuantumRecord {
+        index,
+        policy: policy.to_string(),
+        cycles,
+        committed,
+        ipc: committed as f64 / cycles as f64,
+        l1_miss_rate: mean(|s| s.l1_miss_rate),
+        lsq_full_rate: mean(|s| s.lsq_full_rate),
+        mispredict_rate: mean(|s| s.mispredict_rate),
+        branch_rate: mean(|s| s.branch_rate),
+        idle_fetch_rate: mean(|s| s.idle_fetch_rate),
     }
 }
 

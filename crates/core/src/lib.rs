@@ -27,7 +27,12 @@
 //! - [`jobsched`] — the job-scheduler integration the paper describes in
 //!   §3/§7 (context-switching clog-marked threads) but does not evaluate;
 //! - [`oracle`] — the per-quantum exhaustive upper bound;
-//! - [`runner`] — fixed/adaptive/oracle drivers used by the experiments.
+//! - [`alloc`] — thread-to-core allocation policies above the per-core
+//!   fetch policy, for `MultiCoreMachine`;
+//! - [`lockstep`] — the sweep cells that batch points on shared machines;
+//! - [`runner`] — fixed/adaptive drivers used by the experiments, generic
+//!   over `smt_sim::LockstepMachine`: an `SmtMachine` is the one-core
+//!   case of the same code that runs a `MultiCoreMachine`.
 
 pub mod adaptive;
 pub mod alloc;
@@ -45,9 +50,8 @@ pub mod threshold;
 
 pub use adaptive::{AdaptiveScheduler, AdtsConfig, BoundaryActions, QuantumPlan};
 pub use alloc::{
-    alloc_decisions_jsonl, execute_plans_multicore, multicore_for_mix, run_adaptive_multicore,
-    run_alloc, run_fixed_multicore, AllocCell, AllocDecisionRecord, AllocKind, AllocReason,
-    AllocThreadRow, AllocView, AllocationPolicy,
+    alloc_decisions_jsonl, multicore_for_mix, run_alloc, AllocCell, AllocDecisionRecord, AllocKind,
+    AllocReason, AllocThreadRow, AllocView, AllocationPolicy,
 };
 pub use audit::{
     decisions_jsonl, evaluate_conditions, CondEval, DecisionReason, DecisionRecord, DecisionTrace,
@@ -62,7 +66,7 @@ pub use lockstep::{FixedCell, PointCell};
 pub use obs::register_series_metrics;
 pub use oracle::{run_oracle, OracleConfig};
 pub use runner::{
-    machine_for_mix, machine_for_mix_with, run_adaptive, run_fixed, run_fixed_observed,
-    run_fixed_sampled, run_oracle_on,
+    machine_for_mix, machine_for_mix_with, run_adaptive, run_adaptive_cores, run_fixed,
+    run_fixed_sampled,
 };
 pub use threshold::ThresholdMode;

@@ -17,10 +17,10 @@
 //! too.
 
 use crate::adaptive::{AdaptiveScheduler, AdtsConfig, BoundaryActions, QuantumPlan};
-use crate::indicators::{MachineSnapshot, QuantumStats};
+use crate::indicators::{quantum_record, MachineSnapshot, QuantumStats};
 use smt_policies::FetchPolicy;
-use smt_sim::{LockstepCell, SmtMachine};
-use smt_stats::{QuantumRecord, RunSeries};
+use smt_sim::{LockstepCell, LockstepMachine, SmtMachine};
+use smt_stats::RunSeries;
 
 /// A fixed-policy sweep cell: replays exactly what
 /// [`crate::runner::run_fixed`] records, one quantum per lockstep step.
@@ -96,28 +96,17 @@ impl LockstepCell for PointCell {
     }
 
     fn execute(plan: &QuantumPlan, machine: &mut SmtMachine) {
-        AdaptiveScheduler::execute_plan(plan, machine);
+        AdaptiveScheduler::execute_plans(std::slice::from_ref(plan), machine);
     }
 
     fn observe(&mut self, machine: &SmtMachine) -> BoundaryActions {
         match self {
             PointCell::Fixed(c) => {
-                let fetch_width = machine.config().fetch_width;
                 let before = c.before.take().expect("observe without plan");
-                let after = MachineSnapshot::take(machine);
-                let stats = QuantumStats::between(&before, &after, fetch_width);
-                c.series.quanta.push(QuantumRecord {
-                    index: c.index,
-                    policy: c.policy.name().to_string(),
-                    cycles: stats.cycles,
-                    committed: stats.committed,
-                    ipc: stats.ipc,
-                    l1_miss_rate: stats.l1_miss_rate,
-                    lsq_full_rate: stats.lsq_full_rate,
-                    mispredict_rate: stats.mispredict_rate,
-                    branch_rate: stats.branch_rate,
-                    idle_fetch_rate: stats.idle_fetch_rate,
-                });
+                let stats = QuantumStats::per_core(&[before], machine.cores());
+                c.series
+                    .quanta
+                    .push(quantum_record(c.index, c.policy.name(), &stats));
                 c.index += 1;
                 BoundaryActions::default()
             }

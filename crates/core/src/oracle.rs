@@ -10,11 +10,11 @@
 //! per-quantum scheduler would act on, and an upper bound no causal
 //! heuristic can beat at the same quantum granularity.
 
-use crate::indicators::{MachineSnapshot, QuantumStats};
+use crate::indicators::{quantum_record, MachineSnapshot, QuantumStats};
 use serde::{Deserialize, Serialize};
 use smt_policies::{FetchPolicy, Tsu};
 use smt_sim::SmtMachine;
-use smt_stats::{QuantumRecord, RunSeries, SwitchEvent};
+use smt_stats::{RunSeries, SwitchEvent};
 
 /// Oracle configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -82,18 +82,11 @@ pub fn run_oracle(cfg: &OracleConfig, machine: &mut SmtMachine, quanta: u64) -> 
             }
         }
         incumbent = Some(policy);
-        series.quanta.push(QuantumRecord {
+        series.quanta.push(quantum_record(
             index,
-            policy: policy.name().to_string(),
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc,
-            l1_miss_rate: stats.l1_miss_rate,
-            lsq_full_rate: stats.lsq_full_rate,
-            mispredict_rate: stats.mispredict_rate,
-            branch_rate: stats.branch_rate,
-            idle_fetch_rate: stats.idle_fetch_rate,
-        });
+            policy.name(),
+            std::slice::from_ref(&stats),
+        ));
     }
     series
 }

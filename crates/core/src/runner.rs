@@ -1,16 +1,12 @@
-//! Convenience experiment drivers.
-//!
-//! Thin wrappers that run a machine for N quanta under fixed, adaptive or
-//! oracle scheduling and return the per-quantum [`RunSeries`] the
-//! experiment harness aggregates. They also centralize machine
-//! construction from a [`Mix`].
+//! Experiment drivers: run a machine for N quanta under fixed or adaptive
+//! scheduling, generic over [`LockstepMachine`] (an [`SmtMachine`] is the
+//! one-core case), and build machines from a [`Mix`].
 
-use crate::adaptive::{AdaptiveScheduler, AdtsConfig};
-use crate::indicators::{MachineSnapshot, QuantumStats};
-use crate::oracle::{run_oracle, OracleConfig};
+use crate::adaptive::{AdaptiveScheduler, AdtsConfig, QuantumPlan};
+use crate::indicators::{quantum_record, MachineSnapshot, QuantumStats};
 use smt_policies::{FetchPolicy, Tsu};
-use smt_sim::{CounterSnapshot, SimConfig, SmtMachine};
-use smt_stats::{QuantumRecord, RunSeries};
+use smt_sim::{CounterSnapshot, LockstepMachine, SimConfig, SmtMachine};
+use smt_stats::RunSeries;
 use smt_workloads::Mix;
 
 /// Build a machine for a mix (threads = mix size) on a default-derived
@@ -25,47 +21,39 @@ pub fn machine_for_mix_with(cfg: SimConfig, mix: &Mix, seed: u64) -> SmtMachine 
     SmtMachine::new(cfg, mix.streams(seed))
 }
 
-/// Run a fixed policy for `quanta` quanta of `quantum_cycles` each.
-pub fn run_fixed(
+/// Run a fixed policy on every core for `quanta` quanta of
+/// `quantum_cycles` each. Each record aggregates the cores
+/// (`quantum_record`); on one core it is that core's quantum exactly.
+pub fn run_fixed<M: LockstepMachine>(
     policy: FetchPolicy,
-    machine: &mut SmtMachine,
+    machine: &mut M,
     quanta: u64,
     quantum_cycles: u64,
 ) -> RunSeries {
-    run_fixed_observed(policy, machine, quanta, quantum_cycles, |_, _| {})
+    run_fixed_sampled(policy, machine, quanta, quantum_cycles, |_, _, _| {})
 }
 
 /// [`run_fixed`] with a per-quantum observer hook.
 ///
-/// After each quantum the observer receives the quantum index and the
-/// per-quantum *delta* of every thread's status indicators
-/// ([`CounterSnapshot::delta`]) — the raw material telemetry and external
-/// analyses build on, at the same granularity the detector thread samples.
-pub fn run_fixed_observed(
+/// After each quantum the observer receives the quantum index, the
+/// machine itself (queue depths are instantaneous state, which is what
+/// an occupancy sampler such as `smt_sim::obs::PipelineSampler` needs)
+/// and the per-quantum *delta* of every thread's status indicators
+/// ([`CounterSnapshot::delta`]) — the raw material telemetry and
+/// external analyses build on, at the same granularity the detector
+/// thread samples.
+pub fn run_fixed_sampled<M: LockstepMachine>(
     policy: FetchPolicy,
-    machine: &mut SmtMachine,
+    machine: &mut M,
     quanta: u64,
     quantum_cycles: u64,
-    mut observer: impl FnMut(u64, &CounterSnapshot),
+    mut observer: impl FnMut(u64, &M, &CounterSnapshot),
 ) -> RunSeries {
-    run_fixed_sampled(policy, machine, quanta, quantum_cycles, |i, _m, d| {
-        observer(i, d)
-    })
-}
-
-/// [`run_fixed_observed`] plus read access to the machine itself: the
-/// observer additionally receives `&SmtMachine` after each quantum, which
-/// is what an occupancy sampler (`smt_sim::obs::PipelineSampler`) needs —
-/// queue depths are instantaneous state, not counter deltas.
-pub fn run_fixed_sampled(
-    policy: FetchPolicy,
-    machine: &mut SmtMachine,
-    quanta: u64,
-    quantum_cycles: u64,
-    mut observer: impl FnMut(u64, &SmtMachine, &CounterSnapshot),
-) -> RunSeries {
-    let fetch_width = machine.config().fetch_width;
-    let mut tsu = Tsu::new(policy, machine.n_threads());
+    let mut tsus: Vec<Tsu> = machine
+        .cores()
+        .iter()
+        .map(|c| Tsu::new(policy, c.n_threads()))
+        .collect();
     let mut series = RunSeries::default();
     // Snapshot buffers reused across quanta — the observer loop allocates
     // only on the first iteration.
@@ -73,38 +61,54 @@ pub fn run_fixed_sampled(
     let mut counters_after = CounterSnapshot::default();
     let mut counters_delta = CounterSnapshot::default();
     for index in 0..quanta {
-        let before = MachineSnapshot::take(machine);
+        let before: Vec<MachineSnapshot> =
+            machine.cores().iter().map(MachineSnapshot::take).collect();
         machine.counter_snapshot_into(&mut counters_before);
-        machine.run(quantum_cycles, &mut tsu);
-        let after = MachineSnapshot::take(machine);
+        machine.run_cores(quantum_cycles, &mut tsus);
         machine.counter_snapshot_into(&mut counters_after);
         counters_before.delta_into(&counters_after, &mut counters_delta);
         observer(index, machine, &counters_delta);
-        let stats = QuantumStats::between(&before, &after, fetch_width);
-        series.quanta.push(QuantumRecord {
-            index,
-            policy: policy.name().to_string(),
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc,
-            l1_miss_rate: stats.l1_miss_rate,
-            lsq_full_rate: stats.lsq_full_rate,
-            mispredict_rate: stats.mispredict_rate,
-            branch_rate: stats.branch_rate,
-            idle_fetch_rate: stats.idle_fetch_rate,
-        });
+        let stats = QuantumStats::per_core(&before, machine.cores());
+        series
+            .quanta
+            .push(quantum_record(index, policy.name(), &stats));
     }
     series
 }
 
-/// Run the adaptive scheduler for `quanta` quanta.
-pub fn run_adaptive(cfg: AdtsConfig, machine: &mut SmtMachine, quanta: u64) -> RunSeries {
-    AdaptiveScheduler::new(cfg, machine.n_threads()).run(machine, quanta)
+/// Run one [`AdaptiveScheduler`] per core for `quanta` quanta, the cores
+/// stepping in lockstep through [`AdaptiveScheduler::execute_plans`].
+/// Returns the schedulers in core order, recordings inside.
+pub fn run_adaptive_cores<M: LockstepMachine>(
+    cfg: AdtsConfig,
+    machine: &mut M,
+    quanta: u64,
+) -> Vec<AdaptiveScheduler> {
+    let mut scheds: Vec<AdaptiveScheduler> = machine
+        .cores()
+        .iter()
+        .map(|c| AdaptiveScheduler::new(cfg, c.n_threads()))
+        .collect();
+    for _ in 0..quanta {
+        let plans: Vec<QuantumPlan> = scheds
+            .iter_mut()
+            .zip(machine.cores())
+            .map(|(s, c)| s.plan_quantum(c))
+            .collect();
+        AdaptiveScheduler::execute_plans(&plans, machine);
+        for (i, s) in scheds.iter_mut().enumerate() {
+            let (_stats, boundary) = s.observe_quantum(&machine.cores()[i]);
+            AdaptiveScheduler::apply_boundary(&boundary, machine.core_mut(i));
+        }
+    }
+    scheds
 }
 
-/// Run the oracle scheduler for `quanta` quanta.
-pub fn run_oracle_on(cfg: &OracleConfig, machine: &mut SmtMachine, quanta: u64) -> RunSeries {
-    run_oracle(cfg, machine, quanta)
+/// Run the adaptive scheduler on a single-core machine for `quanta`
+/// quanta and return its series.
+pub fn run_adaptive(cfg: AdtsConfig, machine: &mut SmtMachine, quanta: u64) -> RunSeries {
+    let mut scheds = run_adaptive_cores(cfg, machine, quanta);
+    scheds.remove(0).into_series()
 }
 
 #[cfg(test)]
@@ -141,7 +145,7 @@ mod tests {
         let m = mix(10).take_threads(2, 1);
         let mut machine = machine_for_mix(&m, 5);
         let mut seen = Vec::new();
-        let series = run_fixed_observed(FetchPolicy::Icount, &mut machine, 3, 2048, |i, d| {
+        let series = run_fixed_sampled(FetchPolicy::Icount, &mut machine, 3, 2048, |i, _, d| {
             seen.push((i, d.cycle, d.committed()));
         });
         assert_eq!(seen.len(), 3);

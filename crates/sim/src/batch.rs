@@ -3,12 +3,12 @@
 //! A threshold×type sweep steps dozens of machines that share one
 //! workload mix, one seed, and one warmup prefix — they differ only in
 //! the *decisions* a scheduling policy takes at quantum boundaries. This
-//! module exploits that: a [`MachineBatch`] keeps one [`SmtMachine`] per
-//! *equivalence group* of cells and advances each group once per
-//! quantum, fanning the result out to every member cell. Cells whose
-//! policies decide identically share all simulation work; a group only
-//! *forks* (clones its machine) at the moment two members' decisions
-//! diverge.
+//! module exploits that: a [`MachineBatch`] keeps one machine (any
+//! [`LockstepMachine`]) per *equivalence group* of cells and advances
+//! each group once per quantum, fanning the result out to every member
+//! cell. Cells whose policies decide identically share all simulation
+//! work; a group only *forks* (clones its machine) at the moment two
+//! members' decisions diverge.
 //!
 //! The contract that makes sharing sound is determinism: the machine is
 //! a pure function of its state and the per-quantum [`LockstepCell::Plan`]
@@ -38,21 +38,61 @@
 //! and run a handful of measured quanta).
 //!
 //! Batched stepping composes with the event-horizon fast-forward for
-//! free: each group's quantum executes through `SmtMachine::run` (or the
-//! multi-core equivalent), which skips pure-stall windows internally and
-//! always stops exactly at the quantum boundary — so plan/boundary fork
-//! points land on the same cycles whether skipping is on or off, and the
-//! bit-identity contract that makes group sharing sound is untouched
-//! (pinned by `proptest_skip.rs` alongside the batch conformance suite).
+//! free: each group's quantum executes through
+//! [`LockstepMachine::run_cores`], which skips pure-stall windows
+//! internally and always stops exactly at the quantum boundary — so
+//! plan/boundary fork points land on the same cycles whether skipping is
+//! on or off, and the bit-identity contract that makes group sharing
+//! sound is untouched (pinned by `proptest_skip.rs` alongside the batch
+//! conformance suite).
 
+use crate::chooser::FetchChooser;
+use crate::counters::CounterSnapshot;
 use crate::machine::SmtMachine;
 
-/// The machine side of lockstep stepping: anything deterministic and
-/// clonable that a [`LockstepCell`] can plan over. Implemented by
-/// [`SmtMachine`] and by `MultiCoreMachine` (multi-core cells).
-pub trait LockstepMachine: Clone {}
+/// The machine view drivers and lockstep cells work through: one or more
+/// [`SmtMachine`] cores stepped in lockstep. An `SmtMachine` is its own
+/// single core, so a driver written against this trait makes exactly the
+/// calls a single-core driver would; `MultiCoreMachine` runs the same
+/// code on N cores around a shared L2.
+pub trait LockstepMachine: Clone {
+    /// The cores, in ascending core id (the L2 arbitration order).
+    fn cores(&self) -> &[SmtMachine];
 
-impl LockstepMachine for SmtMachine {}
+    /// Core `i`, mutable. For quantum-boundary mutations only (policy
+    /// notes, fetch toggles); stepping goes through
+    /// [`run_cores`](Self::run_cores) so shared state stays coherent.
+    fn core_mut(&mut self, i: usize) -> &mut SmtMachine;
+
+    /// Run every core `cycles` cycles in lockstep, core `i` fetching
+    /// through `choosers[i]`.
+    fn run_cores<C: FetchChooser>(&mut self, cycles: u64, choosers: &mut [C]);
+
+    /// Refill `out` with every thread's counters, in global thread order.
+    fn counter_snapshot_into(&self, out: &mut CounterSnapshot);
+}
+
+impl LockstepMachine for SmtMachine {
+    fn cores(&self) -> &[SmtMachine] {
+        std::slice::from_ref(self)
+    }
+
+    fn core_mut(&mut self, i: usize) -> &mut SmtMachine {
+        assert_eq!(i, 0, "an SmtMachine is a single core");
+        self
+    }
+
+    fn run_cores<C: FetchChooser>(&mut self, cycles: u64, choosers: &mut [C]) {
+        let [chooser] = choosers else {
+            panic!("one chooser per core");
+        };
+        self.run(cycles, chooser);
+    }
+
+    fn counter_snapshot_into(&self, out: &mut CounterSnapshot) {
+        SmtMachine::counter_snapshot_into(self, out);
+    }
+}
 
 /// Per-cell policy driver for lockstep stepping.
 ///

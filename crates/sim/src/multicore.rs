@@ -25,6 +25,7 @@
 //! per-thread fetch hold attributed to the `migration` CPI-stack
 //! category.
 
+use crate::batch::LockstepMachine;
 use crate::cache::Cache;
 use crate::chooser::FetchChooser;
 use crate::counters::{CounterSnapshot, ThreadCounters};
@@ -284,13 +285,9 @@ impl MultiCoreMachine {
     /// migrations). For a 1-core identity placement this equals the
     /// wrapped core's own snapshot.
     pub fn counter_snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            cycle: self.cycle(),
-            threads: (0..self.placement.len())
-                .map(|g| self.thread_counters(g).clone())
-                .collect(),
-            skipped_cycles: self.skipped_cycles(),
-        }
+        let mut out = CounterSnapshot::default();
+        LockstepMachine::counter_snapshot_into(self, &mut out);
+        out
     }
 
     /// Toggle event-horizon fast-forward on every core. Cores skip only
@@ -359,7 +356,29 @@ impl MultiCoreMachine {
     }
 }
 
-impl crate::batch::LockstepMachine for MultiCoreMachine {}
+impl LockstepMachine for MultiCoreMachine {
+    fn cores(&self) -> &[SmtMachine] {
+        &self.cores
+    }
+
+    fn core_mut(&mut self, i: usize) -> &mut SmtMachine {
+        MultiCoreMachine::core_mut(self, i)
+    }
+
+    fn run_cores<C: FetchChooser>(&mut self, cycles: u64, choosers: &mut [C]) {
+        self.run(cycles, choosers);
+    }
+
+    fn counter_snapshot_into(&self, out: &mut CounterSnapshot) {
+        out.cycle = self.cycle();
+        out.skipped_cycles = self.skipped_cycles();
+        out.threads
+            .resize(self.placement.len(), ThreadCounters::default());
+        for (g, dst) in out.threads.iter_mut().enumerate() {
+            dst.clone_from(self.thread_counters(g));
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // checkpoint container

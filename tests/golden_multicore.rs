@@ -49,8 +49,7 @@ fn record_single(mix_id: usize, threads: usize) -> GoldenTrace {
             .iter()
             .map(|&policy| {
                 let mut machine = MultiCoreMachine::single(adts::machine_for_mix(&mix, SEED));
-                let series =
-                    adts::run_fixed_multicore(policy, &mut machine, QUANTA, QUANTUM_CYCLES);
+                let series = adts::run_fixed(policy, &mut machine, QUANTA, QUANTUM_CYCLES);
                 machine.check_invariants();
                 PolicyTrace {
                     policy: policy.name().to_string(),
@@ -139,7 +138,7 @@ fn n1_replays_adaptive_point() {
         ipc_threshold: 8.0,
         ..adts::AdtsConfig::default()
     };
-    let mut scheds = adts::run_adaptive_multicore(cfg, &mut machine, QUANTA);
+    let mut scheds = adts::run_adaptive_cores(cfg, &mut machine, QUANTA);
     machine.check_invariants();
     let final_counters = machine.counter_snapshot();
     let (series, audit) = scheds.remove(0).into_recordings();
@@ -201,18 +200,14 @@ fn n1_replays_trace_points() {
                 .map(|&policy| {
                     let core = trace_machine(&file).expect("replay machine from committed trace");
                     let mut machine = MultiCoreMachine::single(core);
-                    adts::run_fixed_multicore(
+                    adts::run_fixed(
                         FetchPolicy::Icount,
                         &mut machine,
                         TRACE_WARMUP_QUANTA,
                         TRACE_QUANTUM_CYCLES,
                     );
-                    let series = adts::run_fixed_multicore(
-                        policy,
-                        &mut machine,
-                        TRACE_QUANTA,
-                        TRACE_QUANTUM_CYCLES,
-                    );
+                    let series =
+                        adts::run_fixed(policy, &mut machine, TRACE_QUANTA, TRACE_QUANTUM_CYCLES);
                     machine.check_invariants();
                     PolicyTrace {
                         policy: policy.name().to_string(),

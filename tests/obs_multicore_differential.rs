@@ -100,8 +100,7 @@ fn fixed_run(mix_id: usize, observed: bool) -> (String, Vec<u8>, u64) {
         machine.enable_trace(EVENTS_CAP);
         machine.enable_attr();
     }
-    let series =
-        adts::run_fixed_multicore(FetchPolicy::Icount, &mut machine, QUANTA, QUANTUM_CYCLES);
+    let series = adts::run_fixed(FetchPolicy::Icount, &mut machine, QUANTA, QUANTUM_CYCLES);
     if observed {
         let mut reg = MetricsRegistry::new();
         let mut sampler = MultiCoreSampler::new(&mut reg, &machine);
