@@ -1,4 +1,4 @@
-//! `--attr` slot-accounting "explain" passes for the experiment binaries.
+//! `--attr` slot-accounting "explain" passes for `repro --attr`.
 //!
 //! An explain pass re-runs a canonical point with the slot-attribution
 //! layer enabled (and, for the adaptive pass, the decision-audit ring),
@@ -479,7 +479,7 @@ pub fn explain_alloc(
     Ok(art)
 }
 
-/// The binaries' multi-core `--attr` entry point (`--alloc --cores N`
+/// `repro`'s multi-core `--attr` entry point (`--alloc --cores N`
 /// with `--attr`): one explain pass per selected mix × allocation
 /// policy, fetch fixed at ICOUNT.
 pub fn run_explain_multicore(
@@ -510,7 +510,7 @@ pub fn run_explain_multicore(
     println!("{}\n", sweep::engine().scope_summary());
 }
 
-/// The binaries' `--attr` entry point: one fixed-ICOUNT explain pass and
+/// `repro`'s `--attr` entry point: one fixed-ICOUNT explain pass and
 /// one adaptive explain pass per selected mix.
 pub fn run_explain(p: &ExpParams, opts: &AttrOptions) {
     sweep::engine().begin_scope("attr");

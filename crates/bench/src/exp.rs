@@ -13,11 +13,12 @@ use adts_core::{
     AdtsConfig, AllocCell, AllocKind, CondThresholds, DtModel, EvictionPolicy, HeuristicKind,
     JobSchedConfig, JobScheduler, OracleConfig, PointCell,
 };
-use smt_policies::FetchPolicy;
-use smt_sim::{LockstepCell, LockstepMachine, SimConfig};
-use smt_stats::{mean, RunSeries, Table};
-use smt_workloads::Mix;
-use std::sync::OnceLock;
+use serde::{Deserialize, Serialize};
+use smt_policies::{FetchPolicy, Tsu};
+use smt_sim::{LockstepCell, LockstepMachine, SimConfig, SmtMachine};
+use smt_stats::{mean, QuantumRecord, RunSeries, Table};
+use smt_workloads::{app, app_names, thread_addr_base, Mix, UopStream};
+use std::sync::{Arc, OnceLock};
 
 /// The adaptive policy triple (what the heuristics switch among).
 pub const TRIPLE: [FetchPolicy; 3] = [
@@ -1263,6 +1264,145 @@ impl AllocSweep {
         }
         best
     }
+}
+
+// ---------------------------------------------------------------------
+// W1, W2 — workload characterization and COND_* calibration
+// ---------------------------------------------------------------------
+
+/// W2 — recompute the COND_MEM / COND_BR threshold constants the way the
+/// paper did (§4.3.2): "We ran eight-thread simulation in our SMT
+/// simulator with our 13 different mixes of applications and ended up
+/// with an average value for each metric." Each rate is the mean over
+/// every measured quantum of fixed ICOUNT on every selected mix. The
+/// COND_* conditions fire when a quantum is above average in that
+/// pathology, so `CondThresholds::default` should carry these means; run
+/// this after any change to the machine model or the workloads. At
+/// standard scale the points are table1's ICOUNT column (same cache key).
+pub fn calibrate(p: &ExpParams) -> Table {
+    let per_mix = par_map(p.mixes(), |mix| fixed_series(mix, FetchPolicy::Icount, p));
+    let quanta: Vec<_> = per_mix.iter().flat_map(|s| &s.quanta).collect();
+    let rate =
+        |f: fn(&QuantumRecord) -> f64| mean(&quanta.iter().map(|q| f(q)).collect::<Vec<_>>());
+    let d = CondThresholds::default();
+    let mut t = Table::new(
+        &format!(
+            "W2 — COND_* calibration: fixed-ICOUNT counter rates, mean over {} quanta x {} mixes",
+            p.quanta,
+            per_mix.len()
+        ),
+        &["metric", "mean", "current default", "paper"],
+    );
+    let mut row = |name: &str, f: fn(&QuantumRecord) -> f64, default: f64, paper: f64| {
+        t.row(vec![name.into(), f3(rate(f)), f3(default), f3(paper)]);
+    };
+    row("L1 miss / cycle", |q| q.l1_miss_rate, d.l1_miss_rate, 0.19);
+    row(
+        "LSQ full / cycle",
+        |q| q.lsq_full_rate,
+        d.lsq_full_rate,
+        0.45,
+    );
+    row(
+        "mispredict / cycle",
+        |q| q.mispredict_rate,
+        d.mispredict_rate,
+        0.02,
+    );
+    row("cond br / cycle", |q| q.branch_rate, d.branch_rate, 0.38);
+    t.row(vec![
+        "aggregate IPC".into(),
+        f3(rate(|q| q.ipc)),
+        "-".into(),
+        "-".into(),
+    ]);
+    t
+}
+
+/// One app's measured single-thread character (the cacheable unit of
+/// [`characterize`]).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+struct CharRow {
+    ipc: f64,
+    mispred_per_branch: f64,
+    l1d_miss_per_mem: f64,
+    l1i_per_kcycle: f64,
+    l2_per_kcycle: f64,
+    wrongpath_frac: f64,
+    branch_pct: f64,
+    mem_pct: f64,
+}
+
+fn measure(name: &str, cfg: &SimConfig, warm: u64, run: u64, seed: u64) -> CharRow {
+    let stream = UopStream::new(Arc::new(app(name)), seed, thread_addr_base(0));
+    let mut m = SmtMachine::new(cfg.clone(), vec![stream]);
+    let mut tsu = Tsu::new(FetchPolicy::Icount, 1);
+    m.run(warm, &mut tsu);
+    let warmed = m.counter_snapshot();
+    m.run(run, &mut tsu);
+    let delta = warmed.delta(&m.counter_snapshot());
+    let c = &delta.threads[0];
+    let dc = delta.cycle as f64;
+    let committed = c.committed as f64;
+    let branches = (c.branches_resolved as f64).max(1.0);
+    let mem = (c.loads + c.stores) as f64;
+    let fetched = c.fetched as f64;
+    let wp = c.wrongpath_fetched as f64;
+    CharRow {
+        ipc: committed / dc,
+        mispred_per_branch: c.mispredicts as f64 / branches,
+        l1d_miss_per_mem: c.l1d_misses as f64 / mem.max(1.0),
+        l1i_per_kcycle: c.l1i_misses as f64 / dc * 1000.0,
+        l2_per_kcycle: c.l2_misses as f64 / dc * 1000.0,
+        wrongpath_frac: wp / (fetched + wp).max(1.0),
+        branch_pct: 100.0 * c.cond_branches as f64 / fetched.max(1.0),
+        mem_pct: 100.0 * mem / committed.max(1.0),
+    }
+}
+
+/// W1 — single-thread characterization of every synthetic application
+/// model: the table behind DESIGN.md's claim that the workload
+/// substitution lands each app in the counter-rate regime of its SPEC
+/// CPU2000 namesake. The window is fixed (not scaled by `p`): long enough
+/// to span several full phase cycles, so a row is the app's average
+/// character, not one phase's. Only `p.seed` is read.
+pub fn characterize(p: &ExpParams) -> Table {
+    let (warm, run, seed) = (100_000u64, 700_000u64, p.seed);
+    let cfg = SimConfig::with_threads(1);
+    let rows = par_map(app_names().to_vec(), |&name| {
+        let key = sweep::point_key("characterize", &app(name), &(warm, run, seed), &cfg);
+        sweep::engine().run_value::<CharRow>(key, || measure(name, &cfg, warm, run, seed))
+    });
+    let mut t = Table::new(
+        &format!("W1 — single-thread app characterization ({run} cycles after {warm} warmup)"),
+        &[
+            "app",
+            "class",
+            "IPC",
+            "mispred/br",
+            "L1D miss",
+            "L1I/kcyc",
+            "L2/kcyc",
+            "wrong-path",
+            "branch%",
+            "mem%",
+        ],
+    );
+    for (name, row) in app_names().iter().zip(rows) {
+        t.row(vec![
+            name.to_string(),
+            format!("{:?}", app(name).class),
+            format!("{:.2}", row.ipc),
+            format!("{:.3}", row.mispred_per_branch),
+            format!("{:.3}", row.l1d_miss_per_mem),
+            format!("{:.2}", row.l1i_per_kcycle),
+            format!("{:.2}", row.l2_per_kcycle),
+            format!("{:.2}", row.wrongpath_frac),
+            format!("{:.1}", row.branch_pct),
+            format!("{:.1}", row.mem_pct),
+        ]);
+    }
+    t
 }
 
 #[cfg(test)]

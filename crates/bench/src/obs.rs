@@ -1,4 +1,4 @@
-//! `--obs` instrumented passes for the experiment binaries.
+//! `--obs` instrumented passes for `repro --obs`.
 //!
 //! An observability pass re-runs a canonical point with full event
 //! tracing and per-quantum occupancy sampling enabled, then writes the
@@ -294,7 +294,7 @@ pub fn observe_alloc(
     Ok(art)
 }
 
-/// The binaries' multi-core `--obs` entry point (`--alloc --cores N`
+/// `repro`'s multi-core `--obs` entry point (`--alloc --cores N`
 /// with `--obs`): one instrumented pass per selected mix × allocation
 /// policy, fetch fixed at ICOUNT, artifacts under `opts.out_dir`.
 pub fn run_observations_multicore(
@@ -326,7 +326,7 @@ pub fn run_observations_multicore(
     println!("{}\n", sweep::engine().scope_summary());
 }
 
-/// The binaries' `--obs` entry point: one fixed-ICOUNT pass and one
+/// `repro`'s `--obs` entry point: one fixed-ICOUNT pass and one
 /// adaptive pass per selected mix, artifacts under `opts.out_dir`.
 pub fn run_observations(p: &ExpParams, opts: &ObsOptions) {
     sweep::engine().begin_scope("obs");

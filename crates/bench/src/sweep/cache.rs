@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bump on any change to simulator/scheduler semantics that should
 /// invalidate previously cached results.
-pub const CODE_SALT: &str = "smt-adts-sweep-v1";
+pub const CODE_SALT: &str = "smt-adts-sweep-v2";
 
 /// Version of the key material layout itself.
 const KEY_SCHEMA: u32 = 1;

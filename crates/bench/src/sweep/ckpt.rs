@@ -56,12 +56,10 @@ impl Checkpoint for MachineSnapshot {
     }
 }
 
-/// Warm multi-core state carries no allocator state: warmup runs a
-/// fixed placement.
 impl Checkpoint for MultiCoreSnapshot {
     type Machine = MultiCoreMachine;
     fn capture(machine: &MultiCoreMachine) -> Self {
-        MultiCoreSnapshot::capture(machine, Vec::new())
+        MultiCoreSnapshot::capture(machine)
     }
     fn restore(&self) -> MultiCoreMachine {
         MultiCoreSnapshot::restore(self)
@@ -98,18 +96,17 @@ pub struct CkptStats {
 }
 
 impl CkptStore {
-    /// Open (and create if needed) a store rooted at `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(CkptStore {
-            dir,
+    /// A store rooted at `dir`. The directory is created on the first
+    /// write, so a run that never warms a machine leaves nothing on disk.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        CkptStore {
+            dir: dir.into(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Directory this store keeps checkpoints under.
@@ -165,8 +162,9 @@ impl CkptStore {
         let tmp = self
             .dir
             .join(format!(".{}.{}.{}.tmp", key.hex(), std::process::id(), seq));
-        let write =
-            std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, self.entry_path(key)));
+        let write = std::fs::create_dir_all(&self.dir)
+            .and_then(|()| std::fs::write(&tmp, &bytes))
+            .and_then(|()| std::fs::rename(&tmp, self.entry_path(key)));
         match write {
             Ok(()) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
@@ -198,7 +196,8 @@ impl CkptStore {
             "{{\"hits\":{},\"misses\":{},\"stores\":{},\"errors\":{}}}\n",
             s.hits, s.misses, s.stores, s.errors
         );
-        let _ = std::fs::write(self.dir.join("stats.json"), line);
+        let _ = std::fs::create_dir_all(&self.dir)
+            .and_then(|()| std::fs::write(self.dir.join("stats.json"), line));
     }
 }
 
@@ -232,7 +231,7 @@ mod tests {
     #[test]
     fn store_then_load_round_trips() {
         let dir = tmp_dir("rt");
-        let store = CkptStore::new(&dir).unwrap();
+        let store = CkptStore::new(&dir);
         let key = point_key("warm", &"mix", &1u32, &"cfg");
         assert!(store.load::<MachineSnapshot>(key).unwrap().is_none());
         let snap = snapshot(7);
@@ -258,7 +257,8 @@ mod tests {
     #[test]
     fn corrupt_entry_is_an_error_and_removed() {
         let dir = tmp_dir("corrupt");
-        let store = CkptStore::new(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = CkptStore::new(&dir);
         let key = point_key("warm", &"mix", &2u32, &"cfg");
         std::fs::write(dir.join(format!("{}.ckpt", key.hex())), b"not a ckpt").unwrap();
         assert!(store.load::<MachineSnapshot>(key).is_err());
@@ -272,7 +272,8 @@ mod tests {
     #[test]
     fn truncated_entry_is_an_error_and_removed() {
         let dir = tmp_dir("trunc");
-        let store = CkptStore::new(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = CkptStore::new(&dir);
         let key = point_key("warm", &"mix", &3u32, &"cfg");
         let bytes = snapshot(11).to_bytes();
         std::fs::write(
@@ -288,7 +289,8 @@ mod tests {
     #[test]
     fn version_bumped_entry_is_an_error_and_removed() {
         let dir = tmp_dir("ver");
-        let store = CkptStore::new(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = CkptStore::new(&dir);
         let key = point_key("warm", &"mix", &4u32, &"cfg");
         let mut bytes = snapshot(13).to_bytes();
         bytes[8] = smt_sim::snapshot::FORMAT_VERSION as u8 + 1;
@@ -301,7 +303,7 @@ mod tests {
     #[test]
     fn stats_json_tracks_operations() {
         let dir = tmp_dir("stats");
-        let store = CkptStore::new(&dir).unwrap();
+        let store = CkptStore::new(&dir);
         let key = point_key("warm", &"mix", &5u32, &"cfg");
         store.store(key, &snapshot(17));
         let _ = store.load::<MachineSnapshot>(key).unwrap();

@@ -7,7 +7,7 @@
 //!
 //! 1. a **content-addressed cache** ([`cache`]): the point's result is keyed
 //!    by a stable hash of everything that determines it, so a warm re-run
-//!    of `repro --all` loads results from `results/cache/` instead of
+//!    of `repro all` loads results from `results/cache/` instead of
 //!    re-simulating, bit-identically;
 //! 2. a **panic-isolating executor** ([`executor`]) with a configurable
 //!    worker count (`--jobs` / `SMT_BENCH_JOBS`);
@@ -15,9 +15,8 @@
 //!    record per run to `results/telemetry.jsonl`.
 //!
 //! The library default is fully inert (no cache, no telemetry, automatic
-//! parallelism) so unit tests never touch the filesystem; the `repro`,
-//! `calibrate` and `characterize` binaries call [`configure`] at startup to
-//! turn the persistent pieces on.
+//! parallelism) so unit tests never touch the filesystem; `repro` calls
+//! [`configure`] at startup to turn the persistent pieces on.
 
 pub mod cache;
 pub mod ckpt;
@@ -235,7 +234,7 @@ impl SweepEngine {
 static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
 
 /// Install the process-wide engine. Must run before any sweep executes
-/// (the binaries call it first thing in `main`); later calls are ignored
+/// (`repro` calls it first thing in `main`); later calls are ignored
 /// with a warning because sweeps may already have consulted the engine.
 pub fn configure(cfg: SweepConfig) {
     if ENGINE.set(SweepEngine::new(cfg)).is_err() {

@@ -3,7 +3,7 @@
 //! The simulator side of the observability stack (DESIGN.md §12–§14)
 //! answers "where did the machine's cycles go"; this module answers the
 //! same question for the *harness*: where did the wall-clock of a
-//! `repro --all` go? It records a hierarchical trace of engine work —
+//! `repro all` go? It records a hierarchical trace of engine work —
 //! per-point spans in [`super::SweepEngine::run_series`], warm-pool
 //! hits/misses/warmups, checkpoint loads/stores/fallbacks, and batch
 //! fork events — tagged with the worker lane that did the work, and

@@ -1,4 +1,4 @@
-//! Trace capture and replay passes for the experiment binaries.
+//! Trace capture and replay passes (`repro --capture-trace` / `--trace`).
 //!
 //! Capture records the synthetic run of a mix to an `SMTTRACE` container
 //! (`smt_isa::tracefile`); replay rebuilds a machine over
@@ -19,8 +19,8 @@
 //! wraps cyclically (deterministic, like synthetic script mode) rather
 //! than failing.
 
-use crate::attr::{explain_warmed, AttrOptions};
-use crate::cli::TraceCli;
+use crate::attr::explain_warmed;
+use crate::cli::Cli;
 use crate::exp::{run_batch, sweep_point_cells};
 use crate::params::ExpParams;
 use crate::warm::warm_up;
@@ -174,14 +174,15 @@ impl TraceSweep {
     }
 }
 
-/// Handle the `--capture-trace` / `--trace` flags. Returns `Ok(true)` if
-/// a trace pass ran (the binary should then skip its normal experiments).
+/// The standalone trace pass of the `--capture-trace` / `--trace` flags
+/// (run instead of the experiments, see [`Cli::trace_pass`]).
 ///
-/// Capture records every mix configured in `p`: a single mix goes to the
-/// given path verbatim; multiple mixes get `-<mixname>` inserted before
-/// the extension.
-pub fn run_cli(tc: &TraceCli, p: &ExpParams, attr: &AttrOptions) -> Result<bool, String> {
-    if let Some(path) = &tc.capture {
+/// Capture records every mix configured in `cli.params`: a single mix
+/// goes to the given path verbatim; multiple mixes get `-<mixname>`
+/// inserted before the extension.
+pub fn run_cli(cli: &Cli) -> Result<(), String> {
+    let (p, attr) = (&cli.params, &cli.attr);
+    if let Some(path) = &cli.capture_trace {
         let mixes = p.mixes();
         for mix in &mixes {
             let out = if mixes.len() == 1 {
@@ -210,7 +211,7 @@ pub fn run_cli(tc: &TraceCli, p: &ExpParams, attr: &AttrOptions) -> Result<bool,
             );
         }
     }
-    if let Some(path) = &tc.replay {
+    if let Some(path) = &cli.trace {
         let file = load_trace(path)?;
         let meta = file.meta();
         println!(
@@ -230,7 +231,7 @@ pub fn run_cli(tc: &TraceCli, p: &ExpParams, attr: &AttrOptions) -> Result<bool,
             println!("attr artifacts written to {}", attr.out_dir.display());
         }
     }
-    Ok(tc.active())
+    Ok(())
 }
 
 fn slugify(s: &str) -> String {

@@ -99,20 +99,11 @@ impl WarmPool {
         self.disabled.store(!on, Ordering::Relaxed);
     }
 
-    /// Attach (or detach, with `None`) the on-disk checkpoint store. An
-    /// unopenable directory disables the store with a warning rather than
-    /// failing the run.
+    /// Attach (or detach, with `None`) the on-disk checkpoint store. A
+    /// directory that cannot be written costs a warning per failed store
+    /// (the warm state stays in memory), never the run.
     pub fn configure_store(&self, dir: Option<PathBuf>) {
-        let store = dir.and_then(|d| match CkptStore::new(&d) {
-            Ok(s) => Some(Arc::new(s)),
-            Err(e) => {
-                eprintln!(
-                    "warning: checkpoint store at {} unavailable: {e}",
-                    d.display()
-                );
-                None
-            }
-        });
+        let store = dir.map(|d| Arc::new(CkptStore::new(d)));
         *self.store.lock().expect("warm store poisoned") = store;
     }
 
@@ -583,7 +574,7 @@ mod tests {
             assert_eq!(s.warmups, 1, "{kind:?} {s:?}");
             assert_eq!(m, kind.cold(&p), "{kind:?}");
             // The fresh warmup replaced the corrupt file with a valid one.
-            let replaced = CkptStore::new(&dir).unwrap();
+            let replaced = CkptStore::new(&dir);
             let valid = match kind {
                 Kind::Single => replaced.load::<MachineSnapshot>(key).unwrap().is_some(),
                 Kind::Multi => replaced.load::<MultiCoreSnapshot>(key).unwrap().is_some(),

@@ -1,23 +1,18 @@
-//! Every experiment binary must reject a malformed flag from every
-//! shared CLI family — strictly, with a nonzero exit and an error
-//! message, never by silently swallowing the bad value and running with
-//! a default (the `--jobs` trap `calibrate` used to fall into).
+//! `repro` must reject a malformed flag from every CLI family — strictly,
+//! with a nonzero exit and an error message, never by silently
+//! swallowing the bad value and running with a default.
 //!
-//! One table drives all three binaries: each case is a malformed
-//! invocation of one flag family, and each binary must refuse it. The
-//! binaries are invoked for real (via the `CARGO_BIN_EXE_*` paths cargo
-//! provides to integration tests), so this pins the actual argv
-//! plumbing, not a reimplementation of it.
+//! Each case is a malformed invocation of one flag family. The binary is
+//! invoked for real (via the `CARGO_BIN_EXE_*` path cargo provides to
+//! integration tests), so this pins the actual argv plumbing, not a
+//! reimplementation of it.
 
+use smt_bench::cli::EXPERIMENTS;
 use std::process::Command;
 
-const BINS: &[(&str, &str)] = &[
-    ("repro", env!("CARGO_BIN_EXE_repro")),
-    ("calibrate", env!("CARGO_BIN_EXE_calibrate")),
-    ("characterize", env!("CARGO_BIN_EXE_characterize")),
-];
+const BINS: &[(&str, &str)] = &[("repro", env!("CARGO_BIN_EXE_repro"))];
 
-/// (family, malformed argv) — one representative per shared CLI group.
+/// (family, malformed argv) — one representative per CLI flag family.
 const CASES: &[(&str, &[&str])] = &[
     ("instrument", &["--obs-events", "many"]),
     ("instrument", &["--obs-out"]),
@@ -30,6 +25,8 @@ const CASES: &[(&str, &[&str])] = &[
     // Retired escape hatches: batching and cycle skipping are always on.
     ("unknown", &["--no-batch"]),
     ("unknown", &["--no-skip"]),
+    // Retired alias: the `all` experiment is the one spelling.
+    ("unknown", &["--all"]),
 ];
 
 #[test]
@@ -59,10 +56,9 @@ fn every_binary_rejects_malformed_flags_from_every_cli_group() {
 
 #[test]
 fn jobs_value_is_parsed_strictly_where_supported() {
-    // `--jobs` is bin-local (repro, calibrate), not a shared family; it
-    // must be exactly as strict as the shared ones. `calibrate` used to
-    // swallow a malformed value and silently run with the default.
-    for (bin_name, bin_path) in BINS.iter().filter(|(n, _)| *n != "characterize") {
+    // `--jobs` must be exactly as strict as the flag families: a missing
+    // or malformed value is an error, never a silent default.
+    for (bin_name, bin_path) in BINS {
         for argv in [&["--jobs"][..], &["--jobs", "many"][..]] {
             let out = Command::new(bin_path)
                 .args(argv)
@@ -78,5 +74,27 @@ fn jobs_value_is_parsed_strictly_where_supported() {
                 "{bin_name} rejected {argv:?} without an error message; stderr: {stderr}"
             );
         }
+    }
+}
+
+#[test]
+fn help_names_every_experiment() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--help")
+        .output()
+        .expect("cannot spawn repro");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for name in EXPERIMENTS
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(["calibrate", "characterize"])
+    {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(name)),
+            "--help does not list {name}; stdout: {stdout}"
+        );
     }
 }

@@ -28,10 +28,11 @@
 //! [`AllocCell`] (a `LockstepCell<MultiCoreMachine>`), so scalar and
 //! lockstep runs are interchangeable (`proptest_batch_equiv` idiom).
 
+use crate::indicators::{quantum_record, MachineSnapshot, QuantumStats};
 use serde::{Serialize, Value};
 use smt_policies::{FetchPolicy, Tsu};
-use smt_sim::{EventRing, LockstepCell, MultiCoreMachine, SimConfig, SmtMachine};
-use smt_stats::{QuantumRecord, RunSeries, SwitchEvent};
+use smt_sim::{EventRing, LockstepCell, LockstepMachine, MultiCoreMachine, SimConfig, SmtMachine};
+use smt_stats::{RunSeries, SwitchEvent};
 use smt_workloads::{Mix, UopStream};
 
 /// Read-only view of the just-finished quantum, handed to
@@ -73,13 +74,6 @@ pub trait AllocationPolicy {
         let dest = self.decide(view);
         let record = AllocDecisionRecord::new(self.name(), AllocReason::Opaque, view, &dest);
         (dest, record)
-    }
-
-    /// Opaque state for the multi-core checkpoint container. The four
-    /// shipped policies are stateless, so the default empty blob
-    /// round-trips them exactly.
-    fn encode_state(&self) -> Vec<u8> {
-        Vec::new()
     }
 }
 
@@ -421,6 +415,10 @@ pub struct AllocCell {
     /// (committed, L1D misses).
     prev: Vec<(u64, u64)>,
     prev_placement: Vec<(usize, usize)>,
+    /// Per-core counters at the start of the running quantum, taken in
+    /// `plan` (after the previous boundary's migrations), so no rate
+    /// delta straddles a migration.
+    before: Vec<MachineSnapshot>,
     series: RunSeries,
     migrations: u64,
     /// Decision-audit ring; `None` (the default) costs nothing and keeps
@@ -451,6 +449,7 @@ impl AllocCell {
             quantum: 0,
             prev: thread_marks(machine),
             prev_placement: machine.placement().to_vec(),
+            before: Vec::new(),
             series: RunSeries::default(),
             migrations: 0,
             audit: None,
@@ -503,7 +502,8 @@ impl LockstepCell<MultiCoreMachine> for AllocCell {
     /// Destination core per global thread.
     type Boundary = Vec<usize>;
 
-    fn plan(&mut self, _machine: &MultiCoreMachine) -> Self::Plan {
+    fn plan(&mut self, machine: &MultiCoreMachine) -> Self::Plan {
+        self.before = machine.cores().iter().map(MachineSnapshot::take).collect();
         (self.fetch, self.quantum_cycles)
     }
 
@@ -549,19 +549,10 @@ impl LockstepCell<MultiCoreMachine> for AllocCell {
             .collect();
         self.prev = marks;
 
-        let committed: u64 = committed_delta.iter().sum();
-        self.series.quanta.push(QuantumRecord {
-            index: self.quantum,
-            policy: self.fetch.name().to_string(),
-            cycles: self.quantum_cycles,
-            committed,
-            ipc: committed as f64 / self.quantum_cycles.max(1) as f64,
-            l1_miss_rate: 0.0,
-            lsq_full_rate: 0.0,
-            mispredict_rate: 0.0,
-            branch_rate: 0.0,
-            idle_fetch_rate: 0.0,
-        });
+        let stats = QuantumStats::per_core(&self.before, machine.cores());
+        self.series
+            .quanta
+            .push(quantum_record(self.quantum, self.fetch.name(), &stats));
 
         let capacities: Vec<usize> = (0..machine.n_cores())
             .map(|i| machine.core(i).n_threads())
@@ -746,5 +737,20 @@ mod tests {
             "ring agrees with the cell tally"
         );
         assert_eq!(cell.into_series(), expected);
+    }
+
+    #[test]
+    fn alloc_records_carry_measured_counter_rates() {
+        let m = mix(1);
+        for kind in AllocKind::ALL {
+            let mut machine = multicore_for_mix(&m, 42, 2, 256);
+            let series = run_alloc(FetchPolicy::Icount, kind, &mut machine, 4, 2048);
+            assert_eq!(series.quanta.len(), 4);
+            for q in &series.quanta {
+                assert_eq!(q.cycles, 2048, "{}", kind.name());
+                assert!(q.l1_miss_rate > 0.0, "{} q{}: {q:?}", kind.name(), q.index);
+                assert!(q.branch_rate > 0.0, "{} q{}: {q:?}", kind.name(), q.index);
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use smt_policies::FetchPolicy;
 /// measured over eight-thread runs of its 13 mixes on its simulator
 /// (§4.3.2) — and warns "there can be no single golden reference
 /// measures". We follow the same procedure on this substrate:
-/// [`Default`] carries the means measured by the `calibrate` binary;
+/// [`Default`] carries the means measured by `repro calibrate`;
 /// [`CondThresholds::paper`] preserves the published constants (which
 /// belong to SimpleSMT's rate scale, not ours).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -48,7 +48,7 @@ pub struct CondThresholds {
 
 impl Default for CondThresholds {
     fn default() -> Self {
-        // Means over the 13 mixes on this substrate (see `calibrate`).
+        // Means over the 13 mixes on this substrate (see `repro calibrate`).
         CondThresholds {
             l1_miss_rate: 0.75,
             lsq_full_rate: 0.17,

@@ -394,10 +394,13 @@ const MC_MAGIC: [u8; 8] = *b"SMTMCKP\0";
 /// v2: the topology section ends with the snapshot [`FORMAT_VERSION`]
 /// of the core payloads, so a container whose cores were written in
 /// another `SmtMachine` layout is refused instead of misdecoded.
-pub const MC_FORMAT_VERSION: u32 = 2;
+///
+/// v3: the allocator-state section is gone (the shipped allocation
+/// policies are stateless); core sections follow the topology directly.
+pub const MC_FORMAT_VERSION: u32 = 3;
 
-/// A captured multi-core machine state plus an opaque allocator-state
-/// blob, with a self-describing checksummed byte container:
+/// A captured multi-core machine state, with a self-describing
+/// checksummed byte container:
 ///
 /// ```text
 /// magic     [u8; 8]  = b"SMTMCKP\0"
@@ -405,7 +408,6 @@ pub const MC_FORMAT_VERSION: u32 = 2;
 /// n_cores   u32
 /// topology  section    placement / migrations / penalty / shared L2 /
 ///                      core payload version u32 (= snapshot FORMAT_VERSION)
-/// alloc     section    opaque allocator state (may be empty)
 /// core 0    section    SmtMachine payload (machine.rs encode_into)
 /// ...
 /// core N-1  section
@@ -419,7 +421,6 @@ pub const MC_FORMAT_VERSION: u32 = 2;
 #[derive(Clone, Debug)]
 pub struct MultiCoreSnapshot {
     state: MultiCoreMachine,
-    alloc_state: Vec<u8>,
 }
 
 fn write_section(w: &mut ByteWriter, payload: &[u8]) {
@@ -441,26 +442,19 @@ fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CodecError> {
 
 impl MultiCoreSnapshot {
     /// Capture `machine` (with instrumentation stripped, like the
-    /// single-core [`crate::snapshot::MachineSnapshot`]) together with an
-    /// allocator-state blob. The blob is opaque to this crate — the
-    /// allocation layer above owns its encoding.
-    pub fn capture(machine: &MultiCoreMachine, alloc_state: Vec<u8>) -> Self {
+    /// single-core [`crate::snapshot::MachineSnapshot`]).
+    pub fn capture(machine: &MultiCoreMachine) -> Self {
         let mut state = machine.clone();
         for core in &mut state.cores {
             core.disable_trace();
             core.disable_attr();
         }
-        MultiCoreSnapshot { state, alloc_state }
+        MultiCoreSnapshot { state }
     }
 
     /// A machine that simulates bit-identically to the captured one.
     pub fn restore(&self) -> MultiCoreMachine {
         self.state.clone()
-    }
-
-    /// The captured allocator-state blob.
-    pub fn alloc_state(&self) -> &[u8] {
-        &self.alloc_state
     }
 
     /// Serialize to the checksummed container (type docs).
@@ -497,7 +491,6 @@ impl MultiCoreSnapshot {
         w.u32(MC_FORMAT_VERSION);
         w.u32(m.cores.len() as u32);
         write_section(&mut w, &topo);
-        write_section(&mut w, &self.alloc_state);
         for core in &cores {
             write_section(&mut w, core);
         }
@@ -551,7 +544,6 @@ impl MultiCoreSnapshot {
             });
         }
 
-        let alloc_state = read_section(&mut r)?.to_vec();
         // Capacity clamped to the bytes actually present: a corrupted
         // count must fail the framing checks, not abort the allocator.
         let mut cores = Vec::with_capacity(n_cores.min(r.remaining()));
@@ -602,7 +594,6 @@ impl MultiCoreSnapshot {
                 migrations,
                 migration_penalty,
             },
-            alloc_state,
         })
     }
 }

@@ -4,11 +4,11 @@
 //! silently-wrong machine.
 //!
 //! The container is `magic | version | n_cores | topology section |
-//! alloc section | core sections…`, each section independently
-//! length-framed and FNV-checksummed. The tests probe the framing
-//! (truncation at every byte, trailing garbage, a lying core count), the
-//! checksums (a flip at every byte, targeted per-core payload flips), the
-//! header fields (foreign magic, future version), and the topology's
+//! core sections…`, each section independently length-framed and
+//! FNV-checksummed. The tests probe the framing (truncation at every
+//! byte, trailing garbage, a lying core count), the checksums (a flip at
+//! every byte, targeted per-core payload flips), the header fields
+//! (foreign magic, future and retired versions), and the topology's
 //! contents (a stale core payload version, out-of-range cores/slots,
 //! doubly-assigned slots) — the latter by mutating the topology payload
 //! and *restamping* its checksum, so validation and not the checksum is
@@ -31,9 +31,8 @@ fn synth(seed: u64, t: usize) -> UopStream {
 }
 
 /// A structurally rich sample: 2 cores × 2 contexts, 3 threads, warm
-/// caches, one completed migration (so the topology has non-trivial
-/// migration counts and an in-flight penalty), and a non-empty
-/// allocator blob.
+/// caches, and one completed migration (so the topology has non-trivial
+/// migration counts and an in-flight penalty).
 fn sample_machine() -> MultiCoreMachine {
     let cfg = SimConfig::with_threads(2);
     let core0 = SmtMachine::new(cfg.clone(), vec![synth(1, 0), synth(3, 2)]);
@@ -46,14 +45,12 @@ fn sample_machine() -> MultiCoreMachine {
     m
 }
 
-const ALLOC_BLOB: &[u8] = b"\x01opaque-alloc-state\xff\x00tail";
-
 fn sample_bytes() -> Vec<u8> {
-    MultiCoreSnapshot::capture(&sample_machine(), ALLOC_BLOB.to_vec()).to_bytes()
+    MultiCoreSnapshot::capture(&sample_machine()).to_bytes()
 }
 
 /// Section layout helper: returns `(payload_start, payload_len)` of the
-/// `idx`-th section (0 = topology, 1 = alloc blob, 2.. = cores), walking
+/// `idx`-th section (0 = topology, 1.. = cores), walking
 /// the same framing `from_bytes` reads.
 fn section_bounds(bytes: &[u8], idx: usize) -> (usize, usize) {
     let mut off = 16; // magic 8 | version 4 | n_cores 4
@@ -78,10 +75,9 @@ fn with_restamped_topology(mut bytes: Vec<u8>, f: impl FnOnce(&mut [u8])) -> Vec
 #[test]
 fn the_sample_is_valid_to_begin_with() {
     let m = sample_machine();
-    let snap = MultiCoreSnapshot::capture(&m, ALLOC_BLOB.to_vec());
+    let snap = MultiCoreSnapshot::capture(&m);
     let bytes = snap.to_bytes();
     let parsed = MultiCoreSnapshot::from_bytes(&bytes).expect("own bytes must parse");
-    assert_eq!(parsed.alloc_state(), ALLOC_BLOB);
     assert_eq!(parsed.to_bytes(), bytes, "round trip must be bit-identical");
     let restored = parsed.restore();
     assert_eq!(restored.counter_snapshot(), m.counter_snapshot());
@@ -94,7 +90,7 @@ fn the_sample_is_valid_to_begin_with() {
 /// middle, and stored checksum — plus an even spread across the file.
 fn interesting_offsets(bytes: &[u8]) -> Vec<usize> {
     let mut offs: Vec<usize> = (0..16).collect(); // magic | version | n_cores
-    for idx in 0..4 {
+    for idx in 0..3 {
         let (start, len) = section_bounds(bytes, idx);
         offs.extend(start - 8..start); // the length field
         offs.extend([start, start + len / 3, start + len / 2, start + len - 1]);
@@ -145,7 +141,7 @@ fn byte_flips_at_every_structural_offset_are_detected() {
 fn per_core_payload_flips_fail_that_cores_checksum() {
     let bytes = sample_bytes();
     for core in 0..2 {
-        let (start, len) = section_bounds(&bytes, 2 + core);
+        let (start, len) = section_bounds(&bytes, 1 + core);
         assert!(len > 64, "core section implausibly small");
         for probe in [start, start + len / 2, start + len - 1] {
             let mut bad = bytes.clone();
@@ -180,6 +176,27 @@ fn future_version_is_rejected_with_both_versions_named() {
         Err(CodecError::UnsupportedVersion { found, expected }) => {
             assert_eq!(found, future);
             assert_eq!(expected, MC_FORMAT_VERSION);
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
+/// A v2 container — the v3 layout plus the retired (empty) allocator
+/// section between the topology and the cores — is refused by its
+/// version field, not misread as a core section.
+#[test]
+fn v2_container_with_allocator_section_is_rejected_with_both_versions_named() {
+    let bytes = sample_bytes();
+    let (start, len) = section_bounds(&bytes, 0);
+    let cores_at = start + len + 8;
+    let mut v2 = bytes[..cores_at].to_vec();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&0u64.to_le_bytes());
+    v2.extend_from_slice(&fnv1a_64(&[]).to_le_bytes());
+    v2.extend_from_slice(&bytes[cores_at..]);
+    match MultiCoreSnapshot::from_bytes(&v2) {
+        Err(CodecError::UnsupportedVersion { found, expected }) => {
+            assert_eq!((found, expected), (2, MC_FORMAT_VERSION));
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }

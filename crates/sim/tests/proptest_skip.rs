@@ -175,8 +175,8 @@ proptest! {
             assert_eq!(fast.cycle(), slow.cycle());
             assert_eq!(fast.counter_snapshot(), slow.counter_snapshot());
             assert_eq!(
-                MultiCoreSnapshot::capture(&fast, Vec::new()).to_bytes(),
-                MultiCoreSnapshot::capture(&slow, Vec::new()).to_bytes(),
+                MultiCoreSnapshot::capture(&fast).to_bytes(),
+                MultiCoreSnapshot::capture(&slow).to_bytes(),
                 "multi-core skip diverged from rotation stepping"
             );
         }

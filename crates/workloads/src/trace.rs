@@ -87,11 +87,6 @@ impl TraceStream {
         self.consumed
     }
 
-    /// Number of recorded ops before the replay wraps.
-    pub fn trace_len(&self) -> u64 {
-        self.ops.len() as u64
-    }
-
     /// Program counter of the next op to be replayed.
     pub fn current_pc(&self) -> u64 {
         self.ops[self.pos].pc

@@ -87,7 +87,7 @@ fn alloc_run(mix_id: usize, alloc: AllocKind, observed: bool) -> (String, Vec<u8
     };
     machine.check_invariants();
     let json = serde::json::to_string(&observables(&series, &machine));
-    let snapshot = MultiCoreSnapshot::capture(&machine, Vec::new()).to_bytes();
+    let snapshot = MultiCoreSnapshot::capture(&machine).to_bytes();
     (json, snapshot, events)
 }
 
@@ -115,7 +115,7 @@ fn fixed_run(mix_id: usize, observed: bool) -> (String, Vec<u8>, u64) {
     }
     machine.check_invariants();
     let json = serde::json::to_string(&observables(&series, &machine));
-    let snapshot = MultiCoreSnapshot::capture(&machine, Vec::new()).to_bytes();
+    let snapshot = MultiCoreSnapshot::capture(&machine).to_bytes();
     (json, snapshot, events)
 }
 
